@@ -568,40 +568,58 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
   // One pin covers every entry dereference in the batch.
   common::EpochManager::Guard g(epochs_.get(), core);
   vt::Charge(vt::kEpochPinCost);
-  index::KvIndex* idx = IndexForCore(core);
   CoreState& cs = *cores_[core];
-
-  index::LookupHint hints[kMaxReadBatch];
+  // Keys with an in-flight write are deferred (read-your-writes is the
+  // caller's job); the rest go through the read wave.
+  for (size_t i = 0; i < n; i++) {
+    results[i].value.clear();
+    results[i].status = cs.inflight_keys.Contains(keys[i])
+                            ? GetResult::kDeferred
+                            : GetResult::kAbsent;
+  }
   uint64_t packed[kMaxReadBatch];
-  uint64_t ready[kMaxReadBatch];  // read-completion times (phases C/D)
+  const size_t served =
+      ResolveWave(IndexForCore(core), keys, n, results, packed);
+  FetchWave(packed, n, results);
+  return served;
+}
+
+size_t FlatStore::ResolveWave(index::KvIndex* idx, const uint64_t* keys,
+                              size_t n, ReadResult* results,
+                              uint64_t* packed) {
+  FLATSTORE_DCHECK(n <= kMaxReadBatch);
+  auto owner = [&](uint64_t key) {
+    return idx != nullptr ? idx : IndexForCore(CoreForKey(key));
+  };
+  index::LookupHint hints[kMaxReadBatch];
   const int ways =
       n > static_cast<size_t>(vt::kMemParallelism)
           ? vt::kMemParallelism
           : static_cast<int>(n);
-
-  size_t served = 0;
-  {
-    vt::ScopedOverlap overlap(ways);
-    // Phase A: conflict check + locate/prefetch every key.
-    for (size_t i = 0; i < n; i++) {
-      results[i].value.clear();
-      if (cs.inflight_keys.Contains(keys[i])) {
-        results[i].status = GetResult::kDeferred;
-        continue;
-      }
-      results[i].status = GetResult::kAbsent;  // provisional until phase B
-      idx->PrefetchGet(keys[i], &hints[i]);
-    }
-    // Phase B: finish the probes on (mostly) warm lines.
-    for (size_t i = 0; i < n; i++) {
-      if (results[i].status == GetResult::kDeferred) continue;
-      results[i].status = idx->GetWithHint(keys[i], hints[i], &packed[i])
-                              ? GetResult::kFound
-                              : GetResult::kAbsent;
-      served++;
-    }
+  vt::ScopedOverlap overlap(ways);
+  // Phase A: locate/prefetch every key.
+  for (size_t i = 0; i < n; i++) {
+    if (results[i].status == GetResult::kDeferred) continue;
+    owner(keys[i])->PrefetchGet(keys[i], &hints[i]);
   }
+  // Phase B: finish the probes on (mostly) warm lines.
+  size_t probed = 0;
+  for (size_t i = 0; i < n; i++) {
+    if (results[i].status == GetResult::kDeferred) continue;
+    results[i].status = owner(keys[i])->GetWithHint(keys[i], hints[i],
+                                                    &packed[i])
+                            ? GetResult::kFound
+                            : GetResult::kAbsent;
+    probed++;
+  }
+  return probed;
+}
 
+// fs-lint: epoch-held(callers hold a core pin or a guest pin across the wave)
+void FlatStore::FetchWave(const uint64_t* packed, size_t n,
+                          ReadResult* results) {
+  FLATSTORE_DCHECK(n <= kMaxReadBatch);
+  uint64_t ready[kMaxReadBatch];  // read-completion times
   // Phase C: issue every log-entry header read at one instant; advance to
   // each completion only when that entry is decoded, so independent PM/
   // DRAM fetches overlap instead of serializing as in GetOnCore.
@@ -627,8 +645,7 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
     log::DecodedEntry& e = entries[i];
     bool ok = log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(off)),
                                log::kMaxEntrySize, &e);
-    FLATSTORE_CHECK(ok) << "index pointed at an invalid entry: key="
-                        << keys[i] << " off=" << off;
+    FLATSTORE_CHECK(ok) << "index pointed at an invalid entry: off=" << off;
     if (e.op == log::OpType::kDelete) {
       results[i].status = GetResult::kAbsent;  // tombstone
       continue;
@@ -658,7 +675,34 @@ size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
     vt::Charge(vt::CostMemcpy(len));
     results[i].value.assign(block + 8, len);
   }
-  return served;
+}
+
+// fs-lint: epoch-held(every scan path holds a guest pin across its windows)
+uint64_t FlatStore::AppendRows(
+    const uint64_t* keys, const uint64_t* packed, size_t n, uint64_t limit,
+    std::vector<std::pair<uint64_t, std::string>>* out) {
+  ReadResult results[kMaxReadBatch];
+  uint64_t resolved[kMaxReadBatch];
+  uint64_t added = 0;
+  for (size_t i = 0; i < n && added < limit;) {
+    // Never read past the key that could fill the limit.
+    const size_t m = static_cast<size_t>(
+        std::min<uint64_t>({kMaxReadBatch, n - i, limit - added}));
+    const uint64_t* words = packed != nullptr ? packed + i : resolved;
+    for (size_t j = 0; j < m; j++) {
+      results[j].status =
+          packed != nullptr ? GetResult::kFound : GetResult::kAbsent;
+    }
+    if (packed == nullptr) ResolveWave(nullptr, keys + i, m, results, resolved);
+    FetchWave(words, m, results);
+    for (size_t j = 0; j < m; j++) {
+      if (results[j].status != GetResult::kFound) continue;
+      out->emplace_back(keys[i + j], std::move(results[j].value));
+      added++;
+    }
+    i += m;
+  }
+  return added;
 }
 
 size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
@@ -1335,29 +1379,24 @@ uint64_t FlatStore::Scan(uint64_t start_key, uint64_t count,
   vt::Charge(vt::kEpochPinCost);
   uint64_t produced = 0;
   uint64_t cursor = start_key;
-  bool exhausted = false;
-  while (produced < count && !exhausted) {
-    std::vector<index::KvPair> pairs;
-    const uint64_t want = count - produced + 16;  // slack for tombstones
-    uint64_t got = ordered->Scan(cursor, want, &pairs);
-    exhausted = got < want;
+  std::vector<index::KvPair> pairs;
+  std::vector<uint64_t> keys, packed;
+  while (produced < count) {
+    // Exactly the rows still owed; a tombstone costs another window.
+    const uint64_t want = count - produced;
+    pairs.clear();
+    const uint64_t got = ordered->Scan(cursor, want, &pairs);
+    keys.clear();
+    packed.clear();
+    keys.reserve(pairs.size());
+    packed.reserve(pairs.size());
     for (const auto& p : pairs) {
-      if (produced >= count) break;
-      log::DecodedEntry e;
-      bool ok = log::DecodeEntry(
-          static_cast<const uint8_t*>(pool_->At(log::UnpackOffset(p.value))),
-          log::kMaxEntrySize, &e);
-      FLATSTORE_CHECK(ok);
-      if (e.op == log::OpType::kDelete) continue;  // tombstone
-      std::string v;
-      ReadValue(e, &v);
-      out->emplace_back(p.key, std::move(v));
-      produced++;
+      keys.push_back(p.key);
+      packed.push_back(p.value);
     }
-    if (!pairs.empty()) {
-      if (pairs.back().key == UINT64_MAX) break;
-      cursor = pairs.back().key + 1;
-    }
+    produced += AppendRows(keys.data(), packed.data(), keys.size(), want, out);
+    if (got < want || pairs.back().key == UINT64_MAX) break;
+    cursor = pairs.back().key + 1;
   }
   return produced;
 }
@@ -1374,29 +1413,25 @@ uint64_t FlatStore::ScanFullIteration(
   vt::Charge(vt::kEpochPinCost);
   // Pass 1: harvest every qualifying key from every core's index. A hash
   // index has no order, so there is no way to stop early — the whole
-  // table is touched no matter how short the range.
+  // table is touched no matter how short the range. Each visited entry
+  // is charged one slot probe (a floor: the lines stream in, and the sort
+  // below is not charged).
   std::vector<std::pair<uint64_t, uint64_t>> hits;  // {key, packed}
   for (auto& idx : indexes_) {
     idx->ForEach([&](uint64_t key, uint64_t packed) {
+      vt::Charge(vt::kCpuSlotProbe);
       if (key >= start_key) hits.emplace_back(key, packed);
     });
   }
   std::sort(hits.begin(), hits.end());
-  uint64_t produced = 0;
+  std::vector<uint64_t> keys, packed;
+  keys.reserve(hits.size());
+  packed.reserve(hits.size());
   for (const auto& h : hits) {
-    if (produced >= count) break;
-    log::DecodedEntry e;
-    const bool ok = log::DecodeEntry(
-        static_cast<const uint8_t*>(pool_->At(log::UnpackOffset(h.second))),
-        log::kMaxEntrySize, &e);
-    FLATSTORE_CHECK(ok);
-    if (e.op == log::OpType::kDelete) continue;  // tombstone
-    std::string v;
-    ReadValue(e, &v);
-    out->emplace_back(h.first, std::move(v));
-    produced++;
+    keys.push_back(h.first);
+    packed.push_back(h.second);
   }
-  return produced;
+  return AppendRows(keys.data(), packed.data(), keys.size(), count, out);
 }
 
 // Hash-index scan (DESIGN.md §11): keys come in order from a windowed
@@ -1416,25 +1451,18 @@ uint64_t FlatStore::ScanMerged(
   uint64_t cursor = start_key;
   std::vector<uint64_t> keys;
   while (produced < count) {
-    const uint64_t want = count - produced + 16;  // slack for tombstones
+    // Exactly the rows still owed; a tombstone or a key the index no
+    // longer holds costs another window, not a standing over-read.
+    const uint64_t want = count - produced;
     keys.clear();
     // Window bound: a source that filled its quota may still hold keys
     // below another source's last emitted key, so only keys up to the
     // smallest truncated source's last key are completely merged.
     uint64_t bound = UINT64_MAX;
     bool truncated = false;
-    if (tier_ != nullptr) {
-      uint64_t taken = 0;
-      tier::PersistentTier::Iterator it = tier_->Seek(cursor);
-      while (it.Valid() && taken < want) {
-        keys.push_back(it.key());
-        taken++;
-        it.Next();
-      }
-      if (taken == want && it.Valid()) {
-        truncated = true;
-        bound = std::min(bound, keys.back());
-      }
+    if (tier_ != nullptr && tier_->Gather(cursor, want, &keys) == want) {
+      truncated = true;
+      bound = keys.back();
     }
     for (auto& csp : cores_) {
       LockGuard<SpinLock> dg(csp->delta_lock);
@@ -1454,22 +1482,12 @@ uint64_t FlatStore::ScanMerged(
     }
     std::sort(keys.begin(), keys.end());
     keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    for (uint64_t k : keys) {
-      if (produced >= count) break;
-      if (truncated && k > bound) break;
-      uint64_t packed = 0;
-      if (!IndexForCore(CoreForKey(k))->Get(k, &packed)) continue;
-      log::DecodedEntry e;
-      const bool ok = log::DecodeEntry(
-          static_cast<const uint8_t*>(pool_->At(log::UnpackOffset(packed))),
-          log::kMaxEntrySize, &e);
-      FLATSTORE_CHECK(ok);
-      if (e.op == log::OpType::kDelete) continue;  // tombstone
-      std::string v;
-      ReadValue(e, &v);
-      out->emplace_back(k, std::move(v));
-      produced++;
+    if (truncated) {
+      keys.erase(std::upper_bound(keys.begin(), keys.end(), bound),
+                 keys.end());
     }
+    // Values come back through the index in batched, overlapped waves.
+    produced += AppendRows(keys.data(), nullptr, keys.size(), want, out);
     if (!truncated || bound == UINT64_MAX) break;  // sources exhausted
     cursor = bound + 1;
   }

@@ -510,6 +510,29 @@ class FlatStore {
   // Reads the value of a decoded entry into `*value`.
   void ReadValue(const log::DecodedEntry& e, std::string* value) const;
 
+  // The batched read wave shared by MultiGetOnCore and every scan path
+  // (DESIGN.md §11.4). The caller holds an epoch pin; n <= kMaxReadBatch.
+  //
+  // Phases A-B: under one overlap window, prefetch and then finish the
+  // index probe of every key whose result is not kDeferred, leaving
+  // kFound/kAbsent and, when found, the entry word in packed[i]. `idx`
+  // null routes each key to its owning core's index. Returns the number
+  // of keys probed.
+  size_t ResolveWave(index::KvIndex* idx, const uint64_t* keys, size_t n,
+                     ReadResult* results, uint64_t* packed);
+  // Phases C-D: fetches the log entry of every kFound result as one
+  // overlapped read wave, then the out-of-log value blocks as a second;
+  // tombstones turn into kAbsent.
+  void FetchWave(const uint64_t* packed, size_t n, ReadResult* results);
+  // Appends the live rows among `n` key-ordered keys to `*out` through
+  // the read wave, at most `limit` of them, reading no key past the one
+  // that fills the limit. `packed` null resolves every key through the
+  // index first; otherwise packed[i] is the entry word of keys[i].
+  // Returns the number of rows appended.
+  uint64_t AppendRows(const uint64_t* keys, const uint64_t* packed, size_t n,
+                      uint64_t limit,
+                      std::vector<std::pair<uint64_t, std::string>>* out);
+
   pm::PmPool* pool_;
   FlatStoreOptions options_;
   std::unique_ptr<log::RootArea> root_;

@@ -183,6 +183,7 @@ void PmPool::ChargeRead(const void* p, uint64_t len) {
 
 uint64_t PmPool::ChargeReadAt(const void* p, uint64_t len,
                               uint64_t issue_time) {
+  stats_.AddRead();
   const uint64_t begin = OffsetOf(p);
   const int socket = SocketOf(begin);
   // A load homed on another socket pays the link round trip on top of the

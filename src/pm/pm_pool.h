@@ -150,7 +150,8 @@ class PmPool {
   // and returns the completion instant WITHOUT advancing the calling
   // clock. Batched reads (MultiGet) overlap independent dereferences by
   // issuing them back-to-back at one instant and advancing to each
-  // completion only as the data is consumed.
+  // completion only as the data is consumed. Every charged dereference
+  // (this and ChargeRead) counts one PmStats read.
   uint64_t ChargeReadAt(const void* p, uint64_t len, uint64_t issue_time);
 
   // Orders all previously issued flushes (sfence): advances the calling

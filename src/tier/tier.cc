@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <iterator>
 
 #include "vt/clock.h"
 #include "vt/costs.h"
@@ -298,8 +299,7 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
   return true;
 }
 
-uint64_t* PersistentTier::FindL0Slot(uint64_t target, int socket_hint) const {
-  const int s = ((socket_hint % num_sockets_) + num_sockets_) % num_sockets_;
+uint64_t* PersistentTier::FindLevel1Slot(uint64_t target, int s) const {
   uint64_t* slot = &lane_heads_[s][kMaxHeight - 1];
   for (int level = kMaxHeight - 1; level >= 1; level--) {
     for (;;) {
@@ -308,17 +308,18 @@ uint64_t* PersistentTier::FindL0Slot(uint64_t target, int socket_hint) const {
       pool_->ChargeRead(NodeAt(nxt), 24);
       slot = &NodeAt(nxt)->next[level];
     }
-    if (level == 1) {
-      // Drop from the socket lanes to the global L0 list: either from the
-      // lane head (empty lane walk) or from the last lane node's L0 link.
-      slot = (slot == &lane_heads_[s][1]) ? &tier_root()->head0
-                                          : slot - 1;
-    } else {
-      // Lane arrays (both the DRAM heads and a node's next[]) are
-      // contiguous, so one slot down is one element back.
-      slot = slot - 1;
-    }
+    // Lane arrays (both the DRAM heads and a node's next[]) are
+    // contiguous, so one slot down is one element back.
+    if (level > 1) slot = slot - 1;
   }
+  return slot;
+}
+
+uint64_t* PersistentTier::FindL0Slot(uint64_t target, int socket_hint) const {
+  const int s = LaneSocket(socket_hint);
+  // Drop from the socket lanes to the global L0 list: either from the
+  // lane head (empty lane walk) or from the last lane node's L0 link.
+  uint64_t* slot = L0SlotBelow(FindLevel1Slot(target, s), s);
   for (;;) {
     const uint64_t nxt = LoadLink(slot);
     if (nxt == 0 || NodeAt(nxt)->key >= target) break;
@@ -340,27 +341,96 @@ bool PersistentTier::Get(uint64_t key, uint64_t* packed,
   return true;
 }
 
-uint64_t PersistentTier::Iterator::key() const {
-  FLATSTORE_DCHECK(Valid());
-  return tier_->NodeAt(node_)->key;
-}
+size_t PersistentTier::Gather(uint64_t start, size_t want,
+                              std::vector<uint64_t>* out, int socket_hint,
+                              uint64_t* nodes_read) const {
+  if (nodes_read != nullptr) *nodes_read = 0;
+  if (want == 0) return 0;
+  const int s = LaneSocket(socket_hint);
+  uint64_t* slot1 = FindLevel1Slot(start, s);
 
-uint64_t PersistentTier::Iterator::packed() const {
-  FLATSTORE_DCHECK(Valid());
-  return LoadLink(&tier_->NodeAt(node_)->packed);
-}
+  // One chain per L0 segment, in key order. Segment 0 runs from the L0
+  // slot below the descent to the first level-1 node >= start; segment
+  // j >= 1 starts at level-1 node j and ends at that node's next[1], which
+  // is only known once its head has been read (`opened`).
+  struct Chain {
+    uint64_t next;  // next node to read
+    uint64_t end;   // first node past the segment (0 = tier end)
+    uint64_t keys;  // keys >= start read so far
+    bool opened;
+  };
+  std::vector<Chain> chains;
+  chains.push_back({LoadLink(L0SlotBelow(slot1, s)), LoadLink(slot1), 0, true});
+  if (chains[0].end != 0) chains.push_back({chains[0].end, 0, 0, false});
+  auto done = [](const Chain& c) { return c.opened && c.next == c.end; };
 
-void PersistentTier::Iterator::Next() {
-  FLATSTORE_DCHECK(Valid());
-  const TierNode* n = tier_->NodeAt(node_);
-  tier_->pool_->ChargeRead(n, 24);
-  node_ = LoadLink(&n->next[0]);
-}
+  std::vector<uint64_t> found;  // every key >= start read, any order
+  size_t frontier = 0;          // first unfinished segment
+  uint64_t settled = 0;         // keys of the segments before it
+  uint64_t prefix = 0;          // keys known to be the smallest >= start
+  vt::Clock* clock = vt::CurrentClock();
+  for (;;) {
+    while (frontier < chains.size() && done(chains[frontier])) {
+      settled += chains[frontier++].keys;
+    }
+    prefix = settled +
+             (frontier < chains.size() ? chains[frontier].keys : 0);
+    if (prefix >= want || frontier == chains.size()) break;
 
-PersistentTier::Iterator PersistentTier::Seek(uint64_t start_key,
-                                              int socket_hint) const {
-  uint64_t* slot = FindL0Slot(start_key, socket_hint);
-  return Iterator(this, LoadLink(slot));
+    // This round: the frontier chain always reads; later chains read
+    // speculatively while the keys read past the in-order prefix stay
+    // under one round's worth and could still fall inside the window.
+    size_t pick[vt::kMemParallelism];
+    size_t picked = 0;
+    pick[picked++] = frontier;
+    uint64_t ahead = found.size() - prefix;
+    for (size_t j = frontier + 1;
+         j < chains.size() && picked < std::size(pick); j++) {
+      if (done(chains[j])) continue;
+      if (ahead >= static_cast<uint64_t>(vt::kMemParallelism) ||
+          prefix + ahead >= want) {
+        break;
+      }
+      pick[picked++] = j;
+      ahead++;
+    }
+
+    // Issue every read of the round at one instant; the round ends when
+    // the slowest lands (the MultiGet phase-C idiom).
+    if (clock != nullptr) {
+      const uint64_t issue = clock->now();
+      uint64_t ready = issue;
+      for (size_t p = 0; p < picked; p++) {
+        vt::Charge(vt::kPrefetchIssueCost);
+        ready = std::max(ready, pool_->ChargeReadAt(
+                                    NodeAt(chains[pick[p]].next), 24, issue));
+      }
+      clock->AdvanceTo(ready);
+    }
+    for (size_t p = 0; p < picked; p++) {
+      Chain& c = chains[pick[p]];
+      const TierNode* n = NodeAt(c.next);
+      if (n->key >= start) {
+        found.push_back(n->key);
+        c.keys++;
+      }
+      c.next = LoadLink(&n->next[0]);
+      if (!c.opened) {
+        // A segment head is a level-1 node: its lane link names the
+        // next segment's head.
+        c.end = LoadLink(&n->next[1]);
+        c.opened = true;
+        if (c.end != 0) chains.push_back({c.end, 0, 0, false});
+      }
+    }
+  }
+  // Keys past the prefix came from later segments, so they sort after
+  // every prefix key.
+  std::sort(found.begin(), found.end());
+  const size_t n = std::min<uint64_t>(prefix, want);
+  out->insert(out->end(), found.begin(), found.begin() + n);
+  if (nodes_read != nullptr) *nodes_read = found.size();
+  return n;
 }
 
 void PersistentTier::ForEach(

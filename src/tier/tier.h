@@ -165,24 +165,24 @@ class PersistentTier {
   // ride (any value is correct; the key's home socket is fastest).
   bool Get(uint64_t key, uint64_t* packed, int socket_hint = 0) const;
 
-  // Ordered L0 cursor. Reads charge the vt PM-read cost like any other
-  // media access.
-  class Iterator {
-   public:
-    bool Valid() const { return node_ != 0; }
-    uint64_t key() const;
-    uint64_t packed() const;
-    void Next();
-
-   private:
-    friend class PersistentTier;
-    Iterator(const PersistentTier* t, uint64_t node) : tier_(t), node_(node) {}
-    const PersistentTier* tier_;
-    uint64_t node_;  // pool offset of the current node
-  };
-
-  // Positions a cursor at the first node with key >= start_key.
-  Iterator Seek(uint64_t start_key, int socket_hint = 0) const;
+  // Appends to `*out`, in key order, the first `want` keys >= `start`
+  // (fewer only when the tier runs out). Read-only; values are not
+  // returned — callers read them authoritatively through the index.
+  //
+  // The walk is pipelined instead of pointer-chasing L0 one node at a
+  // time: it descends socket `socket_hint`'s lanes to level 1, whose
+  // nodes cut L0 into segments (a lane holds only its socket's nodes, so
+  // on several sockets the segments are longer but still partition L0).
+  // Each segment is an independent chain; every round issues one node
+  // read per ready chain (at most vt::kMemParallelism) at one vt instant
+  // and waits for the slowest. Reading a segment's head also yields the
+  // next segment's head, so new chains open as older ones advance.
+  // Chains past the first unfinished segment run speculatively, capped
+  // at kMemParallelism keys, so a call reads at most `want` keys plus
+  // one round's worth; `nodes_read` (optional) receives how many nodes
+  // at or past `start` it read.
+  size_t Gather(uint64_t start, size_t want, std::vector<uint64_t>* out,
+                int socket_hint = 0, uint64_t* nodes_read = nullptr) const;
 
   // In-order walk over every node (tests, fsck, recovery block marking).
   void ForEach(
@@ -198,10 +198,28 @@ class PersistentTier {
     return pool_->PtrAt<TierNode>(off);
   }
 
-  // Braided descent: returns the address of the L0 link slot whose
+  // Braided descent down socket `s`'s lanes: returns the address of the
+  // level-1 link slot whose successor is the first level-1 node of that
+  // lane with key >= target (the slot is a DRAM lane head or a node's
+  // next[1]).
+  uint64_t* FindLevel1Slot(uint64_t target, int s) const;
+
+  // The L0 link slot that level-1 slot `slot1` of socket `s` sits above:
+  // TierRoot::head0 for the lane head, else the same node's next[0].
+  uint64_t* L0SlotBelow(uint64_t* slot1, int s) const {
+    // Lane arrays (the DRAM heads and a node's next[]) are contiguous, so
+    // one level down is one element back.
+    return slot1 == &lane_heads_[s][1] ? &tier_root()->head0 : slot1 - 1;
+  }
+
+  // Full braided descent: returns the address of the L0 link slot whose
   // successor is the first node with key >= target (the slot lives either
   // in TierRoot::head0 or in a node's next[0]).
   uint64_t* FindL0Slot(uint64_t target, int socket_hint) const;
+
+  int LaneSocket(int socket_hint) const {
+    return ((socket_hint % num_sockets_) + num_sockets_) % num_sockets_;
+  }
 
   // Volatile-only arena bump: assigns `bytes` from socket `socket`'s tail
   // chunk, growing the chain if needed, and records the touched header in

@@ -1,12 +1,14 @@
 // Persistent ordered tier (DESIGN.md §11): log-to-tier conversion,
 // merged hash-store scans, scan equivalence against the full-iteration
-// baseline under puts/deletes/GC churn, tombstone handling, and
-// incremental (bounded) recovery that skips tiered chunks.
+// baseline under puts/deletes/GC churn, tombstone handling, incremental
+// (bounded) recovery that skips tiered chunks, and the pipelined tier
+// gather plus batched read wave behind every scan (§11.4).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +16,7 @@
 #include "core/fsck.h"
 #include "core/flatstore.h"
 #include "tier/tier.h"
+#include "vt/clock.h"
 
 namespace flatstore {
 namespace core {
@@ -268,6 +271,189 @@ TEST(Tier, RepeatedConversionAcrossReopens) {
   ASSERT_EQ(store->Scan(0, 1200, &rows),
             store->ScanFullIteration(0, 1200, &full));
   EXPECT_EQ(rows, full);
+}
+
+// A tier on its own, without an engine: the tier never interprets the
+// `packed` words, so the tests below feed it synthetic ones.
+struct TierRig {
+  explicit TierRig(int sockets) {
+    constexpr uint64_t kRegion = 64ull << 20;
+    pm::PmPool::Options o;
+    o.size = kRegion + alloc::kChunkSize;  // chunk 0 stands in for a superblock
+    pool = std::make_unique<pm::PmPool>(o);
+    allocator = std::make_unique<alloc::LazyAllocator>(
+        pool.get(), alloc::kChunkSize, kRegion, 2);
+    tier = tier::PersistentTier::Create(pool.get(), allocator.get(), sockets,
+                                        {0, 1});
+    num_sockets = sockets;
+  }
+
+  // Inserts `n` distinct random keys over four interleaved batches (so the
+  // zipper merge threads new nodes between old ones); returns them sorted.
+  std::vector<uint64_t> Fill(size_t n, uint64_t seed) {
+    std::mt19937_64 rng(seed);
+    std::vector<uint64_t> keys;
+    while (keys.size() < n) keys.push_back(rng() % (1u << 20));
+    std::sort(keys.begin(), keys.end());
+    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+    for (int batch = 0; batch < 4; batch++) {
+      std::vector<tier::TierEntry> entries;
+      for (size_t i = static_cast<size_t>(batch); i < keys.size(); i += 4) {
+        entries.push_back({keys[i], keys[i] * 2 + 1,
+                           static_cast<int>((keys[i] >> 4) % num_sockets)});
+      }
+      EXPECT_TRUE(tier->InsertBatch(entries.data(), entries.size()));
+    }
+    return keys;
+  }
+
+  std::vector<uint64_t> All() const {
+    std::vector<uint64_t> keys;
+    tier->ForEach([&](uint64_t key, uint64_t) { keys.push_back(key); });
+    return keys;
+  }
+
+  std::unique_ptr<pm::PmPool> pool;
+  std::unique_ptr<alloc::LazyAllocator> allocator;
+  std::unique_ptr<tier::PersistentTier> tier;
+  int num_sockets;
+};
+
+// Gather must return exactly what an in-order walk yields from `start`,
+// from any start, for any window, whichever socket's lanes it rides —
+// and read no more than the window plus one round of chains.
+TEST(TierGather, MatchesForEachFromAnyStart) {
+  for (int sockets : {1, 2}) {
+    SCOPED_TRACE(sockets);
+    TierRig rig(sockets);
+    const std::vector<uint64_t> keys = rig.Fill(3000, 7);
+    const std::vector<uint64_t> all = rig.All();
+    ASSERT_EQ(all, keys);
+    auto check = [&](uint64_t start, size_t want, int hint) {
+      std::vector<uint64_t> got{42};  // Gather appends
+      uint64_t read = 0;
+      const size_t n = rig.tier->Gather(start, want, &got, hint, &read);
+      const auto first = std::lower_bound(all.begin(), all.end(), start);
+      const size_t avail = static_cast<size_t>(all.end() - first);
+      std::vector<uint64_t> expect{42};
+      expect.insert(expect.end(), first, first + std::min(want, avail));
+      ASSERT_EQ(n, expect.size() - 1) << start << " want=" << want;
+      ASSERT_EQ(got, expect) << start << " want=" << want;
+      ASSERT_LE(read, want + vt::kMemParallelism)
+          << start << " want=" << want;
+    };
+    std::mt19937_64 rng(static_cast<uint64_t>(sockets));
+    for (size_t want = 1; want <= 200; want++) {
+      for (int hint = 0; hint < sockets; hint++) {
+        check(rng() % (all.back() + 100), want, hint);  // between keys
+        check(all[rng() % all.size()], want, hint);     // on a key
+      }
+    }
+    check(0, all.size() + 10, 0);     // the whole tier, and then some
+    check(all.back(), 50, sockets - 1);  // the last key only
+    check(all.back() + 1, 50, 0);     // past the last key
+    check(UINT64_MAX, 1, 0);
+  }
+}
+
+TEST(TierGather, EmptyTier) {
+  TierRig rig(2);
+  std::vector<uint64_t> got;
+  uint64_t read = 7;
+  EXPECT_EQ(rig.tier->Gather(0, 10, &got, 1, &read), 0u);
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(read, 0u);
+}
+
+// The point of the gather: its node reads overlap, so it charges far less
+// vt than walking the same nodes one dependent read at a time.
+TEST(TierGather, ChargesLessThanASerialWalk) {
+  TierRig rig(1);
+  const std::vector<uint64_t> all = rig.Fill(4000, 11);
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+
+  uint64_t t0 = clock.now();
+  rig.tier->ForEach([](uint64_t, uint64_t) {});
+  const uint64_t serial = clock.now() - t0;
+  std::vector<uint64_t> got;
+  t0 = clock.now();
+  ASSERT_EQ(rig.tier->Gather(0, all.size(), &got), all.size());
+  const uint64_t gathered = clock.now() - t0;
+  EXPECT_EQ(got, all);
+  EXPECT_LT(2 * gathered, serial) << gathered << " vs " << serial;
+
+  // A 100-key window, lane descent included, costs less than the bare
+  // dependent reads of its 100 nodes.
+  got.clear();
+  t0 = clock.now();
+  ASSERT_EQ(rig.tier->Gather(all[all.size() / 2], 100, &got), 100u);
+  EXPECT_LT(clock.now() - t0, 100 * vt::kPmReadLatency);
+}
+
+// Every scan path pays for the log entries it decodes: one charged media
+// read per row (embedded values), on top of whatever the key source read.
+TEST(Tier, ClockBoundScanChargesOneEntryFetchPerRow) {
+  for (bool tier : {false, true}) {
+    SCOPED_TRACE(tier);
+    auto pool = MakePool();
+    FlatStoreOptions fo = TierOptions();
+    fo.tier_enabled = tier;
+    // FlatStore-M keeps its ordered index in DRAM, so each of its charged
+    // media reads is an entry fetch.
+    if (!tier) fo.index = IndexKind::kMasstree;
+    auto store = FlatStore::Create(pool.get(), fo);
+    for (uint64_t k = 0; k < 600; k++) store->Put(k, ValueFor(k, 1, 40));
+    if (tier) {
+      store->SealActiveLogChunks();
+      for (uint64_t k = 600; k < 608; k++) store->Put(k, ValueFor(k, 1, 40));
+      ASSERT_GT(store->RunTieringOnce(), 0u);
+    }
+    vt::Clock clock;
+    vt::ScopedClock bind(&clock);
+    const uint64_t before = pool->stats().Get().reads;
+    ScanRows rows;
+    ASSERT_EQ(store->Scan(100, 150, &rows), 150u);
+    const uint64_t reads = pool->stats().Get().reads - before;
+    if (tier) {
+      EXPECT_GT(reads, 150u);  // entry fetches plus the tier's node reads
+    } else {
+      EXPECT_EQ(reads, 150u);
+    }
+    // Full iteration decodes through the same wave.
+    const uint64_t mid = pool->stats().Get().reads;
+    ScanRows full;
+    ASSERT_EQ(store->ScanFullIteration(100, 150, &full), 150u);
+    EXPECT_EQ(full, rows);
+    EXPECT_EQ(pool->stats().Get().reads - mid, 150u);
+  }
+}
+
+// Windows are exact, so every tombstone or vanished key inside the tier
+// range forces another window; the result must not notice.
+TEST(Tier, ScanSpansWindowsAcrossTieredTombstones) {
+  auto pool = MakePool(256);
+  auto store = FlatStore::Create(pool.get(), TierOptions());
+  constexpr uint64_t kKeys = 1200;
+  for (uint64_t k = 0; k < kKeys; k++) store->Put(k, ValueFor(k, 0, 40));
+  // Tombstones that convert into the tier with their keys...
+  for (uint64_t k = 200; k < 500; k += 3) ASSERT_TRUE(store->Delete(k));
+  store->SealActiveLogChunks();
+  for (uint64_t k = kKeys; k < kKeys + 8; k++) {
+    store->Put(k, ValueFor(k, 0, 40));  // move the durable tails on
+  }
+  ASSERT_GT(store->RunTieringOnce(), 0u);
+  // ...and deletes after tiering, whose tier nodes still name the key.
+  for (uint64_t k = 500; k < 900; k += 2) ASSERT_TRUE(store->Delete(k));
+  for (uint64_t start : {0u, 150u, 200u, 333u, 480u, 501u, 899u}) {
+    for (uint64_t count : {1u, 7u, 50u, 130u, 400u}) {
+      ScanRows merged, full;
+      const uint64_t a = store->Scan(start, count, &merged);
+      ASSERT_EQ(a, store->ScanFullIteration(start, count, &full))
+          << start << "+" << count;
+      ASSERT_EQ(merged, full) << start << "+" << count;
+    }
+  }
 }
 
 }  // namespace
