@@ -100,7 +100,7 @@ struct FlatStoreOptions {
   bool socket_local_placement = true;
   // Ordered persistent tier (DESIGN.md §11). Opt-in: when on, the
   // tiering pass (RunTieringOnce / the cleaner-driven background flow)
-  // converts sealed cold log chunks into the braided persistent skiplist,
+  // converts sealed cold log chunks into the persistent skiplist,
   // bounding recovery to the un-tiered log suffix and giving FlatStore-H
   // an ordered scan path. A store whose pool already holds a tier always
   // loads and honours it on Open regardless of this flag (stale tier

@@ -360,9 +360,12 @@ FsckReport FsckPool(const pm::PmPool& pool) {
         break;
       }
       const auto* n = mutable_pool->PtrAt<tier::TierNode>(node_off);
-      if (n->height < 1 || n->height > tier::kMaxHeight) {
+      if (node_off % sizeof(tier::TierNode) != 0 ||
+          n->home_socket >= static_cast<uint32_t>(tier::kMaxLaneSockets) ||
+          n->pad != 0) {
         c.Fatal("tier node at " + std::to_string(node_off) +
-                " has bad height " + std::to_string(n->height));
+                " is corrupt (home socket " + std::to_string(n->home_socket) +
+                ", pad " + std::to_string(n->pad) + ")");
         break;
       }
       if (!first && n->key <= prev_key) {
@@ -407,7 +410,7 @@ FsckReport FsckPool(const pm::PmPool& pool) {
       c.report.tier_nodes++;
       prev_key = n->key;
       first = false;
-      node_off = n->next[0];
+      node_off = n->next;
     }
   }
 

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
-#include <iterator>
+#include <new>
+#include <sstream>
 
 #include "vt/clock.h"
 #include "vt/costs.h"
@@ -11,13 +11,46 @@
 namespace flatstore {
 namespace tier {
 
+// A DRAM lane node: the volatile express-lane entry of one PM node of
+// height >= 2, or a socket's lane head (off 0, kMaxHeight - 1 links). The
+// links follow this header in the same allocation: next(l) is the level-l
+// successor on the owning socket's lanes, for l in [1, NodeHeight(key)).
+// `count` is the node's segment count: the L0 nodes from this node
+// (inclusive; for a head, from the L0 head) up to the next level-1 node
+// of its lane.
+struct LaneNode {
+  uint64_t key;
+  uint64_t off;  // PM offset of the TierNode; 0 for a lane head
+  std::atomic<uint64_t> count;
+
+  std::atomic<LaneNode*>& next(int level) {
+    return reinterpret_cast<std::atomic<LaneNode*>*>(this + 1)[level - 1];
+  }
+  const std::atomic<LaneNode*>& next(int level) const {
+    return reinterpret_cast<const std::atomic<LaneNode*>*>(this + 1)
+        [level - 1];
+  }
+};
+
 namespace {
+
+// Bytes of a lane node with links for levels [1, height).
+constexpr uint64_t LaneNodeBytes(int height) {
+  return sizeof(LaneNode) +
+         sizeof(std::atomic<LaneNode*>) * static_cast<uint64_t>(height - 1);
+}
 
 // Bytes usable for nodes in one arena chunk, after the allocator header
 // and the arena header.
 constexpr uint64_t kArenaDataOff =
     alloc::kChunkHeaderSize + sizeof(ArenaHeader);
 constexpr uint64_t kArenaCapacity = alloc::kChunkSize - kArenaDataOff;
+static_assert(kArenaDataOff % sizeof(TierNode) == 0 &&
+                  sizeof(TierRoot) % sizeof(TierNode) == 0,
+              "every node starts 32-byte aligned, inside one cache line");
+
+// DRAM block size of the lane-node bump arena.
+constexpr uint64_t kLaneBlockBytes = 64 << 10;
 
 inline uint64_t LoadLink(const uint64_t* slot) {
   return std::atomic_ref<const uint64_t>(*slot).load(
@@ -26,6 +59,21 @@ inline uint64_t LoadLink(const uint64_t* slot) {
 
 inline void StoreLink(uint64_t* slot, uint64_t v) {
   std::atomic_ref<uint64_t>(*slot).store(v, std::memory_order_release);
+}
+
+inline LaneNode* LoadLane(const std::atomic<LaneNode*>& link) {
+  return link.load(std::memory_order_acquire);
+}
+
+inline uint64_t LoadCount(const LaneNode* n) {
+  // relaxed: a segment count is a read-planning hint; Gather reads every
+  // segment but the last to its end, so a stale count costs reads only.
+  return n->count.load(std::memory_order_relaxed);
+}
+
+inline void StoreCount(LaneNode* n, uint64_t v) {
+  // relaxed: single mutator; readers treat the count as a hint (above).
+  n->count.store(v, std::memory_order_relaxed);
 }
 
 }  // namespace
@@ -38,7 +86,9 @@ PersistentTier::PersistentTier(pm::PmPool* pool, alloc::LazyAllocator* alloc,
       root_off_(root_off),
       arena_global_tail_(root_off) {
   if (num_sockets_ > kMaxLaneSockets) num_sockets_ = kMaxLaneSockets;
-  std::memset(lane_heads_, 0, sizeof(lane_heads_));
+  for (int s = 0; s < num_sockets_; s++) {
+    heads_[s] = NewLaneNode(0, 0, kMaxHeight);
+  }
 }
 
 TierRoot* PersistentTier::tier_root() const {
@@ -64,10 +114,12 @@ std::unique_ptr<PersistentTier> PersistentTier::Create(
   ArenaHeader* hdr = t->arena_header(off);
   hdr->next = 0;
   hdr->socket = 0;
+  hdr->reserved = 0;
   hdr->used = sizeof(TierRoot);  // the root block is the first reservation
   TierRoot* root = t->tier_root();
   root->head0 = 0;
   root->node_count = 0;
+  root->reserved = 0;
   pool->Persist(hdr, sizeof(ArenaHeader));
   pool->Persist(root, sizeof(TierRoot));
   pool->Fence();
@@ -108,37 +160,60 @@ std::unique_ptr<PersistentTier> PersistentTier::Open(
   return t;
 }
 
+LaneNode* PersistentTier::NewLaneNode(uint64_t key, uint64_t off, int height) {
+  const uint64_t bytes = LaneNodeBytes(height);
+  if (lane_blocks_.empty() || lane_block_used_ + bytes > kLaneBlockBytes) {
+    lane_blocks_.push_back(
+        std::make_unique<uint64_t[]>(kLaneBlockBytes / sizeof(uint64_t)));
+    lane_block_used_ = 0;
+  }
+  char* raw =
+      reinterpret_cast<char*>(lane_blocks_.back().get()) + lane_block_used_;
+  lane_block_used_ += bytes;
+  lane_bytes_ += bytes;
+  auto* n = new (raw) LaneNode();
+  n->key = key;
+  n->off = off;
+  for (int l = 1; l < height; l++) {
+    new (&n->next(l)) std::atomic<LaneNode*>(nullptr);
+  }
+  return n;
+}
+
 void PersistentTier::RebuildLanes(
     const std::function<void(uint64_t key, uint64_t packed)>& on_node) {
-  // The L0 list is the durable truth; the braided per-socket express
-  // lanes above it are soft state reconstructed here on every open, so a
-  // crash can never expose a torn lane.
-  uint64_t* tails[kMaxLaneSockets][kMaxHeight];
-  for (int s = 0; s < kMaxLaneSockets; s++)
-    for (int l = 0; l < kMaxHeight; l++) tails[s][l] = &lane_heads_[s][l];
+  // The L0 list is the durable truth; the DRAM lanes and their segment
+  // counts are rebuilt from it in this one walk on every open.
+  LaneNode* tails[kMaxLaneSockets][kMaxHeight];
+  LaneNode* seg[kMaxLaneSockets];  // segment head covering the walk
+  for (int s = 0; s < num_sockets_; s++) {
+    for (int l = 1; l < kMaxHeight; l++) tails[s][l] = heads_[s];
+    seg[s] = heads_[s];
+  }
   node_count_ = 0;
   uint64_t cur = tier_root()->head0;
   while (cur != 0) {
-    TierNode* n = NodeAt(cur);
-    pool_->ChargeRead(n, TierNodeBytes(n->height));
-    FLATSTORE_CHECK(n->height >= 1 && n->height <= kMaxHeight)
-        << "tier node at " << cur << " has bad height " << n->height;
-    const int s =
-        static_cast<int>(n->home_socket) % (num_sockets_ ? num_sockets_ : 1);
-    for (int l = 1; l < n->height; l++) {
-      // fs-lint: publish-ok(soft lane links, rebuilt from L0 on every open)
-      StoreLink(tails[s][l], cur);
-      tails[s][l] = &n->next[l];
+    const TierNode* n = NodeAt(cur);
+    pool_->ChargeRead(n, sizeof(TierNode));
+    FLATSTORE_CHECK(n->home_socket < kMaxLaneSockets && n->pad == 0)
+        << "tier node at " << cur << " is corrupt (home socket "
+        << n->home_socket << ", pad " << n->pad << ")";
+    const int s = LaneOf(n);
+    const int height = NodeHeight(n->key);
+    if (height >= 2) {
+      LaneNode* lane = NewLaneNode(n->key, cur, height);
+      for (int l = 1; l < height; l++) {
+        tails[s][l]->next(l).store(lane, std::memory_order_release);
+        tails[s][l] = lane;
+      }
+      seg[s] = lane;
+    }
+    for (int t = 0; t < num_sockets_; t++) {
+      StoreCount(seg[t], LoadCount(seg[t]) + 1);
     }
     if (on_node) on_node(n->key, n->packed);
     node_count_++;
-    cur = n->next[0];
-  }
-  for (int s = 0; s < kMaxLaneSockets; s++) {
-    for (int l = 1; l < kMaxHeight; l++) {
-      // fs-lint: publish-ok(soft lane terminator, rebuilt from L0 on every open)
-      StoreLink(tails[s][l], 0);
-    }
+    cur = n->next;
   }
 }
 
@@ -200,8 +275,8 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
       FLATSTORE_DCHECK(i == 0 || entries[i - 1].key < entries[i].key)
           << "InsertBatch requires a key-sorted, duplicate-free batch";
       while (cur != 0 && NodeAt(cur)->key < entries[i].key) {
-        pool_->ChargeRead(NodeAt(cur), 24);
-        cur = LoadLink(&NodeAt(cur)->next[0]);
+        pool_->ChargeRead(NodeAt(cur), sizeof(TierNode));
+        cur = LoadLink(&NodeAt(cur)->next);
       }
       is_new[i] = (cur == 0 || NodeAt(cur)->key != entries[i].key);
     }
@@ -216,8 +291,7 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
   for (size_t i = 0; i < n; i++) {
     if (!is_new[i]) continue;
     const int s = entries[i].home_socket % num_sockets_;
-    offs[i] = AssignNodeBytes(TierNodeBytes(NodeHeight(entries[i].key)), s,
-                              &dirty);
+    offs[i] = AssignNodeBytes(sizeof(TierNode), s, &dirty);
     if (offs[i] == 0) {
       // Arena exhausted; nothing published. Settle any arena chain-link
       // persists issued while growing, then bail.
@@ -232,21 +306,38 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
   }
   if (!dirty.empty()) pool_->Fence();
 
-  // Pass C — zipper merge. Forward-only cursors (one global L0 slot, one
-  // lane slot per socket x level) resume from the previous key's
-  // position, so the whole batch is a single merge sweep.
+  // Pass C — zipper merge: one forward L0 cursor sweeps the batch in a
+  // single pass and keeps the DRAM lanes current on the way. Per socket,
+  // pred[s][l] is the last level-l lane node below the sweep position (a
+  // lane head to begin with) — every lane node is a level-1 node, so the
+  // L0 sweep passes each in key order — and seg_pos[s] counts the L0
+  // nodes of pred[s][1]'s segment at or before the position.
   uint64_t* l0_slot = &root->head0;
-  uint64_t* lane_slot[kMaxLaneSockets][kMaxHeight];
-  for (int s = 0; s < kMaxLaneSockets; s++)
-    for (int l = 0; l < kMaxHeight; l++) lane_slot[s][l] = &lane_heads_[s][l];
+  LaneNode* pred[kMaxLaneSockets][kMaxHeight];
+  uint64_t seg_pos[kMaxLaneSockets] = {};
+  for (int s = 0; s < num_sockets_; s++) {
+    for (int l = 1; l < kMaxHeight; l++) pred[s][l] = heads_[s];
+  }
 
   for (size_t i = 0; i < n; i++) {
     const uint64_t key = entries[i].key;
     for (;;) {
       const uint64_t nxt = LoadLink(l0_slot);
       if (nxt == 0 || NodeAt(nxt)->key >= key) break;
-      pool_->ChargeRead(NodeAt(nxt), 24);
-      l0_slot = &NodeAt(nxt)->next[0];
+      const TierNode* x = NodeAt(nxt);
+      pool_->ChargeRead(x, sizeof(TierNode));
+      const int xs = LaneOf(x);
+      const int xh = NodeHeight(x->key);
+      if (xh >= 2) {
+        // x heads the next segment of its socket's lane.
+        LaneNode* lane = LoadLane(pred[xs][1]->next(1));
+        FLATSTORE_DCHECK(lane != nullptr && lane->off == nxt);
+        vt::ChargeMiss(vt::kCpuCacheMiss);
+        for (int l = 1; l < xh; l++) pred[xs][l] = lane;
+        seg_pos[xs] = 0;
+      }
+      for (int t = 0; t < num_sockets_; t++) seg_pos[t]++;
+      l0_slot = &NodeAt(nxt)->next;
     }
     const uint64_t succ = LoadLink(l0_slot);
     if (!is_new[i]) {
@@ -259,38 +350,57 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
       continue;
     }
     const int s = entries[i].home_socket % num_sockets_;
-    const int height = NodeHeight(key);
     TierNode* node = NodeAt(offs[i]);
     node->key = key;
     node->packed = entries[i].packed;
-    node->height = static_cast<uint16_t>(height);
-    node->home_socket = static_cast<uint16_t>(s);
+    node->home_socket = static_cast<uint32_t>(s);
     node->pad = 0;
-    node->next[0] = succ;
-    for (int l = 1; l < height; l++) {
-      while (true) {
-        const uint64_t lnxt = LoadLink(lane_slot[s][l]);
-        if (lnxt == 0 || NodeAt(lnxt)->key >= key) break;
-        pool_->ChargeRead(NodeAt(lnxt), 24);
-        lane_slot[s][l] = &NodeAt(lnxt)->next[l];
-      }
-      node->next[l] = LoadLink(lane_slot[s][l]);
-    }
+    node->next = succ;
     // Persist-before-publish: the node's bytes are durable and fenced
     // before the single 8-byte L0 link store makes it reachable.
-    pool_->Persist(node, TierNodeBytes(height));
+    pool_->Persist(node, sizeof(TierNode));
     pool_->Fence();
     StoreLink(l0_slot, offs[i]);
     // L0 link is 8-byte tear-proof; the batch's trailing fence orders it
     // before the conversion commit (SetChunkTiered).
     pool_->Persist(l0_slot, sizeof(uint64_t));
-    for (int l = 1; l < height; l++) {
-      // fs-lint: publish-ok(soft lane links, rebuilt from L0 on every open)
-      StoreLink(lane_slot[s][l], offs[i]);
-      lane_slot[s][l] = &node->next[l];
-    }
-    l0_slot = &node->next[0];
+    l0_slot = &node->next;
     node_count_++;
+
+    // DRAM lanes. The node joins the segment under the position on every
+    // socket's lane but its own when it starts a segment there.
+    const int height = NodeHeight(key);
+    for (int t = 0; t < num_sockets_; t++) {
+      if (t == s && height >= 2) continue;
+      StoreCount(pred[t][1], LoadCount(pred[t][1]) + 1);
+      seg_pos[t]++;
+    }
+    if (height < 2) continue;
+    // Split pred[s][1]'s segment: it keeps its seg_pos[s] nodes before
+    // the new node, which heads the rest. The lane node is complete before
+    // the release stores below publish it; a reader that still sees the
+    // old count reads the shorter segment and plans on (Gather).
+    LaneNode* lane = NewLaneNode(key, offs[i], height);
+    LaneNode* split = pred[s][1];
+    StoreCount(lane, LoadCount(split) + 1 - seg_pos[s]);
+    for (int l = 1; l < height; l++) {
+      lane->next(l).store(LoadLane(pred[s][l]->next(l)),
+                          std::memory_order_release);
+    }
+    // One miss for the new lane node and one per distinct predecessor it
+    // links under (the level-1 one was entered by the sweep already).
+    vt::ChargeMiss(vt::kCpuCacheMiss);
+    const LaneNode* linked = split;
+    for (int l = 1; l < height; l++) {
+      if (pred[s][l] != linked) {
+        vt::ChargeMiss(vt::kCpuCacheMiss);
+        linked = pred[s][l];
+      }
+      pred[s][l]->next(l).store(lane, std::memory_order_release);
+      pred[s][l] = lane;
+    }
+    StoreCount(split, seg_pos[s]);
+    seg_pos[s] = 1;
   }
   root->node_count = node_count_;
   // Advisory counter, recomputed from the L0 walk on open.
@@ -299,32 +409,37 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
   return true;
 }
 
-uint64_t* PersistentTier::FindLevel1Slot(uint64_t target, int s) const {
-  uint64_t* slot = &lane_heads_[s][kMaxHeight - 1];
+const LaneNode* PersistentTier::Level1Pred(uint64_t target, int s) const {
+  const LaneNode* p = heads_[s];
+  const LaneNode* seen = nullptr;  // a node compared one level up is cached
   for (int level = kMaxHeight - 1; level >= 1; level--) {
     for (;;) {
-      const uint64_t nxt = LoadLink(slot);
-      if (nxt == 0 || NodeAt(nxt)->key >= target) break;
-      pool_->ChargeRead(NodeAt(nxt), 24);
-      slot = &NodeAt(nxt)->next[level];
+      const LaneNode* nxt = LoadLane(p->next(level));
+      if (nxt == nullptr) break;
+      if (nxt != seen) vt::ChargeMiss(vt::kCpuCacheMiss);
+      seen = nxt;
+      if (nxt->key >= target) break;
+      p = nxt;
     }
-    // Lane arrays (both the DRAM heads and a node's next[]) are
-    // contiguous, so one slot down is one element back.
-    if (level > 1) slot = slot - 1;
   }
-  return slot;
+  return p;
 }
 
 uint64_t* PersistentTier::FindL0Slot(uint64_t target, int socket_hint) const {
-  const int s = LaneSocket(socket_hint);
-  // Drop from the socket lanes to the global L0 list: either from the
-  // lane head (empty lane walk) or from the last lane node's L0 link.
-  uint64_t* slot = L0SlotBelow(FindLevel1Slot(target, s), s);
+  const LaneNode* p = Level1Pred(target, LaneSocket(socket_hint));
+  // Drop to the global L0 list: from the L0 head below a lane head, else
+  // from the lane node's PM node, whose key is below the target.
+  uint64_t* slot = &tier_root()->head0;
+  if (p->off != 0) {
+    TierNode* n = NodeAt(p->off);
+    pool_->ChargeRead(n, sizeof(TierNode));
+    slot = &n->next;
+  }
   for (;;) {
     const uint64_t nxt = LoadLink(slot);
     if (nxt == 0 || NodeAt(nxt)->key >= target) break;
-    pool_->ChargeRead(NodeAt(nxt), 24);
-    slot = &NodeAt(nxt)->next[0];
+    pool_->ChargeRead(NodeAt(nxt), sizeof(TierNode));
+    slot = &NodeAt(nxt)->next;
   }
   return slot;
 }
@@ -335,7 +450,7 @@ bool PersistentTier::Get(uint64_t key, uint64_t* packed,
   const uint64_t nxt = LoadLink(slot);
   if (nxt == 0) return false;
   const TierNode* n = NodeAt(nxt);
-  pool_->ChargeRead(n, 24);
+  pool_->ChargeRead(n, sizeof(TierNode));
   if (n->key != key) return false;
   *packed = LoadLink(&n->packed);
   return true;
@@ -346,91 +461,154 @@ size_t PersistentTier::Gather(uint64_t start, size_t want,
                               uint64_t* nodes_read) const {
   if (nodes_read != nullptr) *nodes_read = 0;
   if (want == 0) return 0;
-  const int s = LaneSocket(socket_hint);
-  uint64_t* slot1 = FindLevel1Slot(start, s);
+  constexpr uint64_t kToEnd = UINT64_MAX;
 
-  // One chain per L0 segment, in key order. Segment 0 runs from the L0
-  // slot below the descent to the first level-1 node >= start; segment
-  // j >= 1 starts at level-1 node j and ends at that node's next[1], which
-  // is only known once its head has been read (`opened`).
+  // One chain per planned segment, in key order. A chain reads from
+  // `next` until it reaches `end` (the next segment's head; 0 = tier end)
+  // or, for the cut-short last segment, until it holds `take` keys.
   struct Chain {
-    uint64_t next;  // next node to read
-    uint64_t end;   // first node past the segment (0 = tier end)
-    uint64_t keys;  // keys >= start read so far
-    bool opened;
+    uint64_t next;
+    uint64_t end;
+    uint64_t keys;    // keys >= start read so far
+    uint64_t expect;  // keys >= start the segment count promises
+    uint64_t take;    // kToEnd, or the keys the last segment owes
+    bool queued;      // waiting in `pending` or reading in `open`
   };
   std::vector<Chain> chains;
-  chains.push_back({LoadLink(L0SlotBelow(slot1, s)), LoadLink(slot1), 0, true});
-  if (chains[0].end != 0) chains.push_back({chains[0].end, 0, 0, false});
-  auto done = [](const Chain& c) { return c.opened && c.next == c.end; };
+  auto at_end = [](const Chain& c) { return c.next == c.end; };
+  auto goal = [](const Chain& c) { return std::min(c.expect, c.take); };
+  // Keys a chain is expected to deliver: what it read once it ended.
+  auto share = [&](const Chain& c) {
+    return at_end(c) ? c.keys : std::max(c.keys, goal(c));
+  };
+  uint64_t planned = 0;  // sum of every chain's share
+
+  // Chains that can read wait in a max-heap on their expected length, so
+  // each round reads the longest segments first; they bound the rounds.
+  std::vector<size_t> pending;
+  auto shorter = [&](size_t a, size_t b) {
+    return goal(chains[a]) < goal(chains[b]);
+  };
+  auto enqueue = [&](size_t j) {
+    chains[j].queued = true;
+    pending.push_back(j);
+    std::push_heap(pending.begin(), pending.end(), shorter);
+  };
+
+  // Segment 0 holds `start`: it runs from the descent's lane node (whose
+  // own key is below start) or from the L0 head. Its count is taken as if
+  // all of it were >= start; the shortfall shows when it ends.
+  const LaneNode* next_head = Level1Pred(start, LaneSocket(socket_hint));
+  auto plan = [&] {
+    if (!chains.empty() && chains.back().take != kToEnd &&
+        !at_end(chains.back())) {
+      // The cut segment reads on: as far as its count reaches, then in
+      // full, with later segments covering the rest.
+      Chain& last = chains.back();
+      planned -= share(last);
+      const uint64_t owed = want - planned;
+      last.take = owed <= last.expect ? owed : kToEnd;
+      planned += share(last);
+      if (!last.queued) {
+        enqueue(chains.size() - 1);
+      } else {
+        std::make_heap(pending.begin(), pending.end(), shorter);
+      }
+    }
+    while (planned < want && next_head != nullptr) {
+      const LaneNode* head = next_head;
+      // The descent compared segment 0's and segment 1's heads already.
+      if (chains.size() >= 2) vt::ChargeMiss(vt::kCpuCacheMiss);
+      next_head = LoadLane(head->next(1));
+      Chain c;
+      c.next = head->off;
+      c.expect = LoadCount(head);
+      if (chains.empty()) {
+        if (head->off == 0) {
+          c.next = LoadLink(&tier_root()->head0);
+        } else if (c.expect > 0) {
+          c.expect--;  // the head itself sits below start
+        }
+      }
+      c.end = next_head != nullptr ? next_head->off : 0;
+      c.keys = 0;
+      const uint64_t owed = want - planned;
+      c.take = c.expect >= owed ? owed : kToEnd;
+      c.queued = false;
+      planned += share(c);
+      chains.push_back(c);
+      if (!at_end(c)) enqueue(chains.size() - 1);
+    }
+  };
+  plan();
 
   std::vector<uint64_t> found;  // every key >= start read, any order
-  size_t frontier = 0;          // first unfinished segment
-  uint64_t settled = 0;         // keys of the segments before it
-  uint64_t prefix = 0;          // keys known to be the smallest >= start
+  std::vector<size_t> open;     // chains read this round
   vt::Clock* clock = vt::CurrentClock();
   for (;;) {
-    while (frontier < chains.size() && done(chains[frontier])) {
-      settled += chains[frontier++].keys;
+    while (open.size() < static_cast<size_t>(vt::kMemParallelism) &&
+           !pending.empty()) {
+      std::pop_heap(pending.begin(), pending.end(), shorter);
+      open.push_back(pending.back());
+      pending.pop_back();
     }
-    prefix = settled +
-             (frontier < chains.size() ? chains[frontier].keys : 0);
-    if (prefix >= want || frontier == chains.size()) break;
-
-    // This round: the frontier chain always reads; later chains read
-    // speculatively while the keys read past the in-order prefix stay
-    // under one round's worth and could still fall inside the window.
-    size_t pick[vt::kMemParallelism];
-    size_t picked = 0;
-    pick[picked++] = frontier;
-    uint64_t ahead = found.size() - prefix;
-    for (size_t j = frontier + 1;
-         j < chains.size() && picked < std::size(pick); j++) {
-      if (done(chains[j])) continue;
-      if (ahead >= static_cast<uint64_t>(vt::kMemParallelism) ||
-          prefix + ahead >= want) {
-        break;
-      }
-      pick[picked++] = j;
-      ahead++;
-    }
-
+    if (open.empty()) break;
     // Issue every read of the round at one instant; the round ends when
     // the slowest lands (the MultiGet phase-C idiom).
     if (clock != nullptr) {
       const uint64_t issue = clock->now();
-      uint64_t ready = issue;
-      for (size_t p = 0; p < picked; p++) {
+      uint64_t done = issue;
+      for (size_t j : open) {
         vt::Charge(vt::kPrefetchIssueCost);
-        ready = std::max(ready, pool_->ChargeReadAt(
-                                    NodeAt(chains[pick[p]].next), 24, issue));
+        done = std::max(done, pool_->ChargeReadAt(NodeAt(chains[j].next),
+                                                  sizeof(TierNode), issue));
       }
-      clock->AdvanceTo(ready);
+      clock->AdvanceTo(done);
     }
-    for (size_t p = 0; p < picked; p++) {
-      Chain& c = chains[pick[p]];
+    size_t still = 0;
+    for (size_t j : open) {
+      Chain& c = chains[j];
+      planned -= share(c);
       const TierNode* n = NodeAt(c.next);
       if (n->key >= start) {
         found.push_back(n->key);
         c.keys++;
       }
-      c.next = LoadLink(&n->next[0]);
-      if (!c.opened) {
-        // A segment head is a level-1 node: its lane link names the
-        // next segment's head.
-        c.end = LoadLink(&n->next[1]);
-        c.opened = true;
-        if (c.end != 0) chains.push_back({c.end, 0, 0, false});
+      c.next = LoadLink(&n->next);
+      planned += share(c);
+      if (!at_end(c) && c.keys < c.take) {
+        open[still++] = j;
+      } else {
+        c.queued = false;
       }
     }
+    open.resize(still);
+    if (planned < want) plan();
   }
-  // Keys past the prefix came from later segments, so they sort after
-  // every prefix key.
+  // Every segment but the last was read to its end, so the found keys are
+  // the smallest >= start.
   std::sort(found.begin(), found.end());
-  const size_t n = std::min<uint64_t>(prefix, want);
+  const size_t n = std::min<size_t>(found.size(), want);
   out->insert(out->end(), found.begin(), found.begin() + n);
   if (nodes_read != nullptr) *nodes_read = found.size();
   return n;
+}
+
+std::string PersistentTier::DebugLanes() const {
+  std::ostringstream os;
+  for (int s = 0; s < num_sockets_; s++) {
+    os << "socket " << s << " head #" << LoadCount(heads_[s]) << "\n";
+    for (int l = 1; l < kMaxHeight; l++) {
+      os << " L" << l << ":";
+      for (const LaneNode* p = LoadLane(heads_[s]->next(l)); p != nullptr;
+           p = LoadLane(p->next(l))) {
+        os << ' ' << p->key << '@' << p->off;
+        if (l == 1) os << '#' << LoadCount(p);
+      }
+      os << "\n";
+    }
+  }
+  return os.str();
 }
 
 void PersistentTier::ForEach(
@@ -438,9 +616,9 @@ void PersistentTier::ForEach(
   uint64_t cur = LoadLink(&tier_root()->head0);
   while (cur != 0) {
     const TierNode* n = NodeAt(cur);
-    pool_->ChargeRead(n, 24);
+    pool_->ChargeRead(n, sizeof(TierNode));
     fn(n->key, LoadLink(&n->packed));
-    cur = LoadLink(&n->next[0]);
+    cur = LoadLink(&n->next);
   }
 }
 

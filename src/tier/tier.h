@@ -1,11 +1,12 @@
-// Ordered persistent tier: a braided persistent skiplist whose nodes alias
-// value bytes still sitting in converted ("tiered") OpLog chunks.
+// Ordered persistent tier: a persistent skiplist whose nodes alias value
+// bytes still sitting in converted ("tiered") OpLog chunks, with its
+// express lanes braided per socket in DRAM.
 //
 // The tier is FlatStore's answer to two linear costs of a pure log
 // (DESIGN.md §11): recovery replaying every log byte, and range scans
 // having no ordered path when the volatile index is a hash. Following
 // ListDB's Index-Unified Logging, a background tiering pass converts a
-// sealed log chunk's live entries *in place* into skiplist nodes — the
+// sealed log chunk's live entries *in place* into 32-byte PM nodes — the
 // node stores the entry's packed {offset, version} word, never a copy of
 // the value — and then stamps the chunk's registry record with the
 // persistent kChunkTiered flag. From then on recovery loads the tier's
@@ -14,7 +15,7 @@
 //
 // Durability contract (what crash_explorer exercises):
 //
-//   * Only the node bytes and the level-0 ("L0") forward links are
+//   * Only the PM node bytes and the level-0 ("L0") forward links are
 //     durable state. Every node is persisted and fenced BEFORE the single
 //     8-byte L0 link store that publishes it (persist-before-publish), so
 //     a crash leaves a valid L0 list containing some subset of the
@@ -23,15 +24,17 @@
 //     high-water mark is persisted and fenced before any reserved byte is
 //     written. A crash can leak reserved-but-unlinked bytes; it can never
 //     let a later allocation overwrite a published node.
-//   * The braided upper lanes (per-socket express lanes above L0) are
-//     SOFT state: written without persist ordering and rebuilt from the
-//     L0 walk on every open. Torn lanes are impossible by construction.
+//   * The braided express lanes above L0 are volatile: DRAM lane nodes,
+//     one per PM node of height >= 2, rebuilt from the L0 walk on every
+//     open — the same volatile-index-over-persistent-log split as the
+//     engine itself. No lane store touches PM.
 //   * In-place updates of an existing key touch exactly one 8-byte
 //     `packed` word (atomic store + persist), so they are tear-proof.
 //
 // Concurrency: single mutator (the tiering pass is serialized by the
-// caller), lock-free concurrent readers. All link and `packed` accesses
-// go through std::atomic_ref with release/acquire ordering.
+// caller), lock-free concurrent readers. L0 links, lane links and
+// `packed` go through release/acquire atomics; segment counts are relaxed
+// hints whose staleness costs reads, never keys (Gather below).
 
 #ifndef FLATSTORE_TIER_TIER_H_
 #define FLATSTORE_TIER_TIER_H_
@@ -39,6 +42,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "alloc/lazy_allocator.h"
@@ -59,29 +63,26 @@ inline constexpr int kMaxHeight = 12;
 // cost model's kMaxSockets).
 inline constexpr int kMaxLaneSockets = 4;
 
-// One persistent skiplist node. Variable length: 24 bytes of header plus
-// one 8-byte forward link per level. next[0] is the single global L0 list
-// (durable); next[1..height-1] are the node's home-socket express lanes
-// (soft, rebuilt on open). The node carries no value bytes: `packed` is
-// the same {entry offset, version} word the volatile index stores, and
-// the entry it names lives forever in its (tiered, never freed) log
-// chunk.
+// One persistent skiplist node: 32 bytes, 32-byte aligned in the arena,
+// so a node never straddles a cache line. `next` is the single global L0
+// list, the tier's only durable link. The node carries no value bytes:
+// `packed` is the same {entry offset, version} word the volatile index
+// stores, and the entry it names lives forever in its (tiered, never
+// freed) log chunk. The node's height is not stored — NodeHeight(key)
+// recomputes it — and its lane links live in DRAM (LaneNode).
 struct TierNode {
   uint64_t key;
   uint64_t packed;  // log::PackIndexValue format; atomically updated
-  uint16_t height;  // 1..kMaxHeight
-  uint16_t home_socket;
-  uint32_t pad;
-  uint64_t next[1];  // really next[height]
+  uint32_t home_socket;
+  uint32_t pad;     // zero
+  uint64_t next;    // L0 successor (0 = end)
 };
-
-inline constexpr uint64_t TierNodeBytes(int height) {
-  return 24 + 8 * static_cast<uint64_t>(height);
-}
+static_assert(sizeof(TierNode) == 32, "tier nodes are one half cache line");
 
 // Deterministic node height from the key (splitmix64 finalizer, branching
-// factor 1/4). Determinism keeps the crash explorer's flush counts
-// reproducible and makes recovery rebuild byte-identical lane shapes.
+// factor 1/4). Nodes of height >= 2 get a DRAM lane node on their home
+// socket's lanes. Determinism makes recovery rebuild identical lane
+// shapes.
 inline int NodeHeight(uint64_t key) {
   uint64_t z = key * 0x9E3779B97F4A7C15ull;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -106,6 +107,7 @@ struct ArenaHeader {
   uint64_t next;
   uint64_t used;
   uint64_t socket;
+  uint64_t reserved;  // pads the header so nodes start 32-byte aligned
 };
 
 // Tier root, immediately after the first arena chunk's ArenaHeader. The
@@ -114,6 +116,7 @@ struct TierRoot {
   uint64_t magic;
   uint64_t head0;       // L0 head node offset (0 = empty tier)
   uint64_t node_count;  // advisory; recomputed from the L0 walk on open
+  uint64_t reserved;    // keeps the first node 32-byte aligned
 };
 
 // One key to merge into the tier.
@@ -122,6 +125,9 @@ struct TierEntry {
   uint64_t packed;
   int home_socket;
 };
+
+// A socket's DRAM express-lane node (defined in tier.cc).
+struct LaneNode;
 
 class PersistentTier {
  public:
@@ -135,7 +141,7 @@ class PersistentTier {
       const std::vector<int>& socket_cores);
 
   // Opens an existing tier rooted at `root_off`: walks the arena chain,
-  // then walks L0 once to rebuild the soft braided lanes, invoking
+  // then walks L0 once to rebuild the DRAM lanes and segment counts, invoking
   // `on_node(key, packed)` for every node (recovery uses this to feed the
   // volatile index without a second walk). `on_node` may be null.
   static std::unique_ptr<PersistentTier> Open(
@@ -146,6 +152,8 @@ class PersistentTier {
   uint64_t root_off() const { return root_off_; }
   uint64_t node_count() const;
   uint64_t arena_chunk_count() const { return arena_chunks_.size(); }
+  // DRAM held by the lane nodes (lane heads included).
+  uint64_t lane_bytes() const { return lane_bytes_; }
 
   // Invokes `fn` for every arena chunk offset (recovery marks them
   // allocated; fsck walks them).
@@ -154,11 +162,14 @@ class PersistentTier {
   // Zipper-merges a key-sorted, duplicate-free batch into the tier.
   // Existing keys take the tear-proof in-place packed update; new keys
   // get freshly reserved nodes with per-node persist-before-publish on
-  // the L0 link. One trailing fence covers the batch's deferred persists;
-  // the caller's conversion commit (SetChunkTiered) happens after this
-  // returns. Single mutator only. Returns false (with no partial batch
-  // published beyond already-fenced nodes — which are harmlessly
-  // idempotent) if the pool cannot grow the arena.
+  // the L0 link. The same merge sweep splices each new node of height
+  // >= 2 into its socket's DRAM lanes and keeps every socket's segment
+  // counts exact, charging each lane node it touches as a cache miss.
+  // One trailing fence covers the batch's deferred persists; the caller's
+  // conversion commit (SetChunkTiered) happens after this returns. Single
+  // mutator only. Returns false (with no partial batch published beyond
+  // already-fenced nodes — which are harmlessly idempotent) if the pool
+  // cannot grow the arena.
   bool InsertBatch(const TierEntry* entries, size_t n);
 
   // Point lookup. `socket_hint` picks which socket's express lanes to
@@ -169,20 +180,28 @@ class PersistentTier {
   // (fewer only when the tier runs out). Read-only; values are not
   // returned — callers read them authoritatively through the index.
   //
-  // The walk is pipelined instead of pointer-chasing L0 one node at a
-  // time: it descends socket `socket_hint`'s lanes to level 1, whose
-  // nodes cut L0 into segments (a lane holds only its socket's nodes, so
-  // on several sockets the segments are longer but still partition L0).
-  // Each segment is an independent chain; every round issues one node
-  // read per ready chain (at most vt::kMemParallelism) at one vt instant
-  // and waits for the slowest. Reading a segment's head also yields the
-  // next segment's head, so new chains open as older ones advance.
-  // Chains past the first unfinished segment run speculatively, capped
-  // at kMemParallelism keys, so a call reads at most `want` keys plus
-  // one round's worth; `nodes_read` (optional) receives how many nodes
-  // at or past `start` it read.
+  // Socket `socket_hint`'s level-1 lane cuts L0 into segments (a lane
+  // holds only its socket's nodes, so on several sockets the segments are
+  // longer but still partition L0). Gather descends the DRAM lanes to the
+  // segment holding `start`, then plans from the segment counts exactly
+  // which segments cover `want` keys: every planned segment is read to
+  // its end except the last, which is cut at the keys still owed. Each
+  // planned segment is an independent chain whose head offset the lane
+  // node already holds; every round issues one node read per unfinished
+  // chain (at most vt::kMemParallelism, longest first) at one vt instant
+  // and waits for the slowest. A segment that delivers fewer keys than
+  // planned (the start segment's keys below `start`, or a count a
+  // concurrent InsertBatch made stale) extends the plan from the lane, so
+  // a stale count costs reads, never a key. With current counts a call
+  // reads exactly min(want, available) keys >= `start`; `nodes_read`
+  // (optional) receives how many it read.
   size_t Gather(uint64_t start, size_t want, std::vector<uint64_t>* out,
                 int socket_hint = 0, uint64_t* nodes_read = nullptr) const;
+
+  // Renders every socket's lanes — each level's keys and PM offsets, and
+  // every segment count — as text. Tests compare a maintained tier against
+  // a freshly opened one; not for serving paths.
+  std::string DebugLanes() const;
 
   // In-order walk over every node (tests, fsck, recovery block marking).
   void ForEach(
@@ -198,28 +217,26 @@ class PersistentTier {
     return pool_->PtrAt<TierNode>(off);
   }
 
-  // Braided descent down socket `s`'s lanes: returns the address of the
-  // level-1 link slot whose successor is the first level-1 node of that
-  // lane with key >= target (the slot is a DRAM lane head or a node's
-  // next[1]).
-  uint64_t* FindLevel1Slot(uint64_t target, int s) const;
+  // DRAM descent down socket `s`'s lanes: returns the last level-1 lane
+  // node with key < target, or the socket's lane head. Charges one cache
+  // miss per distinct lane node compared.
+  const LaneNode* Level1Pred(uint64_t target, int s) const;
 
-  // The L0 link slot that level-1 slot `slot1` of socket `s` sits above:
-  // TierRoot::head0 for the lane head, else the same node's next[0].
-  uint64_t* L0SlotBelow(uint64_t* slot1, int s) const {
-    // Lane arrays (the DRAM heads and a node's next[]) are contiguous, so
-    // one level down is one element back.
-    return slot1 == &lane_heads_[s][1] ? &tier_root()->head0 : slot1 - 1;
-  }
-
-  // Full braided descent: returns the address of the L0 link slot whose
-  // successor is the first node with key >= target (the slot lives either
-  // in TierRoot::head0 or in a node's next[0]).
+  // Full descent: returns the address of the L0 link slot whose successor
+  // is the first node with key >= target (the slot lives either in
+  // TierRoot::head0 or in a node's next).
   uint64_t* FindL0Slot(uint64_t target, int socket_hint) const;
 
   int LaneSocket(int socket_hint) const {
     return ((socket_hint % num_sockets_) + num_sockets_) % num_sockets_;
   }
+  int LaneOf(const TierNode* n) const {
+    return static_cast<int>(n->home_socket %
+                            static_cast<uint32_t>(num_sockets_));
+  }
+
+  // Bump-allocates a lane node with null links and a zero count.
+  LaneNode* NewLaneNode(uint64_t key, uint64_t off, int height);
 
   // Volatile-only arena bump: assigns `bytes` from socket `socket`'s tail
   // chunk, growing the chain if needed, and records the touched header in
@@ -242,9 +259,13 @@ class PersistentTier {
   // Per-socket allocation tail chunk (0 = none yet).
   uint64_t socket_tail_[kMaxLaneSockets] = {};
 
-  // Soft braided lane heads, one set per socket. DRAM: rebuilt on open,
-  // read/written through atomic_ref like the in-node lane links.
-  mutable uint64_t lane_heads_[kMaxLaneSockets][kMaxHeight];
+  // DRAM lanes, one set per socket, rebuilt on open. Lane nodes live in
+  // bump blocks freed only with the tier, so a reader never sees one
+  // vanish; only the mutator allocates.
+  LaneNode* heads_[kMaxLaneSockets] = {};
+  std::vector<std::unique_ptr<uint64_t[]>> lane_blocks_;
+  uint64_t lane_block_used_ = 0;  // bytes used in lane_blocks_.back()
+  uint64_t lane_bytes_ = 0;
 };
 
 }  // namespace tier

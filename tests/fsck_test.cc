@@ -5,6 +5,7 @@
 
 #include "core/flatstore.h"
 #include "core/fsck.h"
+#include "tier/tier.h"
 
 namespace flatstore {
 namespace core {
@@ -167,6 +168,37 @@ TEST(Fsck, FlagsOrphanTxnChains) {
   EXPECT_FALSE(rec->Get(7002, &got));
   ASSERT_TRUE(rec->Get(10, &got));  // unrelated data intact
   EXPECT_EQ(got, V(10));
+}
+
+// A tier node whose fixed fields are damaged (here a home socket no lane
+// set can hold) must fail the check, not be walked as a valid node.
+TEST(Fsck, DetectsCorruptTierNode) {
+  auto pool = MakePool();
+  FlatStoreOptions fo = Opts();
+  fo.tier_enabled = true;
+  auto store = FlatStore::Create(pool.get(), fo);
+  for (uint64_t k = 0; k < 300; k++) store->Put(k, V(k));
+  store->SealActiveLogChunks();
+  for (uint64_t k = 300; k < 308; k++) store->Put(k, V(k));
+  ASSERT_GT(store->RunTieringOnce(), 0u);
+  FsckReport clean = FsckPool(*pool);
+  ASSERT_TRUE(clean.ok) << clean.Summary();
+  ASSERT_GT(clean.tier_nodes, 0u);
+
+  const auto* root = pool->PtrAt<tier::TierRoot>(
+      store->tier()->root_off() + alloc::kChunkHeaderSize +
+      sizeof(tier::ArenaHeader));
+  auto* node = pool->PtrAt<tier::TierNode>(root->head0);
+  node->home_socket = tier::kMaxLaneSockets + 3;
+  FsckReport r = FsckPool(*pool);
+  EXPECT_FALSE(r.ok);
+  bool flagged = false;
+  for (const auto& issue : r.issues) {
+    if (issue.fatal && issue.what.find("is corrupt") != std::string::npos) {
+      flagged = true;
+    }
+  }
+  EXPECT_TRUE(flagged) << r.Summary();
 }
 
 TEST(Fsck, SummaryMentionsCounts) {

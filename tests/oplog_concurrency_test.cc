@@ -119,6 +119,9 @@ TEST_F(OpLogConcurrencyTest, VictimScanRacesAppendsSafely) {
       scans.fetch_add(1, std::memory_order_relaxed);
     }
   });
+  // Start appending only once the reader is scanning; on a loaded host the
+  // 40 rounds could otherwise finish before the reader thread first runs.
+  while (scans.load(std::memory_order_relaxed) == 0) std::this_thread::yield();
   for (int r = 0; r < 40; r++) {
     ASSERT_TRUE(Append(/*cleaner=*/false, 16, 1000u * (r + 1)));
     if (r % 5 == 4) log_->SealActiveChunk();

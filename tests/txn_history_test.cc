@@ -21,6 +21,7 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -109,6 +110,11 @@ bool ApplyOp(const HistoryOp& op, Model* model,
 
 // Wing & Gong: depth-first search over linearization orders. An op may go
 // next only if no other pending op's response precedes its invocation.
+// What the rest of the search can do depends only on which ops are done
+// and on the model they produced, so every (done-set, model) state that
+// failed once is cached and never searched again (Lowe's memoisation);
+// widely overlapping intervals otherwise revisit the same states through
+// every permutation of commuting ops.
 class LinearizabilityChecker {
  public:
   explicit LinearizabilityChecker(const std::vector<HistoryOp>& ops)
@@ -119,6 +125,7 @@ class LinearizabilityChecker {
  private:
   bool Search(size_t remaining) {
     if (remaining == 0) return true;
+    if (failed_.count({done_, model_}) != 0) return false;
     uint64_t min_response = UINT64_MAX;
     for (size_t i = 0; i < ops_.size(); i++) {
       if (!done_[i]) min_response = std::min(min_response, ops_[i].response);
@@ -138,12 +145,14 @@ class LinearizabilityChecker {
         }
       }
     }
+    failed_.insert({done_, model_});
     return false;
   }
 
   const std::vector<HistoryOp>& ops_;
   std::vector<bool> done_;
   Model model_;
+  std::set<std::pair<std::vector<bool>, Model>> failed_;
 };
 
 std::string DumpHistory(const std::vector<HistoryOp>& ops) {
@@ -365,6 +374,23 @@ TEST(TxnHistory, CheckerAcceptsOverlappingCasRace) {
   EXPECT_TRUE(LinearizabilityChecker(h).Check());
   // Both claiming commit is impossible.
   h[1].cas_committed = true;
+  EXPECT_FALSE(LinearizabilityChecker(h).Check());
+}
+
+TEST(TxnHistory, CheckerRejectsWideOverlapWithoutEnumeratingOrders) {
+  // Twelve puts to distinct keys all overlap, and a read after every one
+  // of them claims key 0 is still absent. Every one of the 12! orders
+  // fails at the read; the state cache bounds the search to the 2^12
+  // done-sets instead.
+  constexpr int kPuts = 12;
+  std::vector<HistoryOp> h(kPuts + 1);
+  for (int i = 0; i < kPuts; i++) {
+    h[static_cast<size_t>(i)] = {HistoryOp::kTxnPut, 0, 10, i,
+                                 {{static_cast<uint64_t>(i), "v"}},
+                                 0, {}, "", false, {}};
+  }
+  h[kPuts] = {HistoryOp::kRead, 11, 12, 0, {}, 0, {}, "", false,
+              std::nullopt};
   EXPECT_FALSE(LinearizabilityChecker(h).Check());
 }
 
