@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstring>
 #include <thread>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/hash.h"
 #include "index/cceh.h"
@@ -435,7 +437,7 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
           round > static_cast<size_t>(vt::kMemParallelism)
               ? vt::kMemParallelism
               : static_cast<int>(round);
-      {
+      auto publish = [&] {
         vt::ScopedOverlap overlap(ways);
         // Phase A: locate + prefetch every op's insert position. FIFO
         // order is preserved below, so a duplicate key in the round is
@@ -461,6 +463,22 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
               op.key, log::PackIndexValue(offs[r], op.version), &olds[r],
               hints[r]);
         }
+      };
+      if (TierActive()) {
+        // The round's entries land in un-tiered chunks. Their keys join
+        // the delta set BEFORE the index publishes them, and the lock
+        // stays held across the publish so the tiering pass's exact
+        // erase cannot slip between the two steps (DESIGN.md §11.4).
+        // Host work only: the delta set is not charged in vt.
+        LockGuard<SpinLock> dg(cs.delta_lock);
+        for (size_t r = 0; r < round; r++) {
+          const PendingOp& op =
+              cs.pending[(cs.pend_head + r) % batch::HbEngine::kPoolSlots];
+          if (!op.txn_commit) cs.delta.insert(op.key);
+        }
+        publish();
+      } else {
+        publish();
       }
       for (size_t r = 0; r < round; r++) {
         const PendingOp& op =
@@ -474,16 +492,6 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
         } else if (retire[r]) {
           RetireOld(olds[r]);
         }
-      }
-    }
-    if (TierActive()) {
-      // New entries land in un-tiered chunks: record their keys in the
-      // delta set so ScanMerged can enumerate them (DESIGN.md §11).
-      LockGuard<SpinLock> dg(cs.delta_lock);
-      for (size_t r = 0; r < round; r++) {
-        const PendingOp& op =
-            cs.pending[(cs.pend_head + r) % batch::HbEngine::kPoolSlots];
-        if (!op.txn_commit) cs.delta.insert(op.key);
       }
     }
     for (size_t r = 0; r < round; r++) {
@@ -682,18 +690,33 @@ uint64_t FlatStore::AppendRows(
     const uint64_t* keys, const uint64_t* packed, size_t n, uint64_t limit,
     std::vector<std::pair<uint64_t, std::string>>* out) {
   ReadResult results[kMaxReadBatch];
-  uint64_t resolved[kMaxReadBatch];
+  uint64_t words[kMaxReadBatch];
+  // The sub-batch of rows that resolve through the index.
+  uint64_t probe_keys[kMaxReadBatch];
+  uint64_t probe_words[kMaxReadBatch];
+  ReadResult probe_results[kMaxReadBatch];
+  size_t probe_rows[kMaxReadBatch];
   uint64_t added = 0;
   for (size_t i = 0; i < n && added < limit;) {
     // Never read past the key that could fill the limit.
     const size_t m = static_cast<size_t>(
         std::min<uint64_t>({kMaxReadBatch, n - i, limit - added}));
-    const uint64_t* words = packed != nullptr ? packed + i : resolved;
+    size_t probes = 0;
     for (size_t j = 0; j < m; j++) {
-      results[j].status =
-          packed != nullptr ? GetResult::kFound : GetResult::kAbsent;
+      words[j] = packed[i + j];
+      results[j].status = GetResult::kFound;
+      if (words[j] != kResolveThroughIndex) continue;
+      probe_keys[probes] = keys[i + j];
+      probe_results[probes].status = GetResult::kAbsent;
+      probe_rows[probes++] = j;
     }
-    if (packed == nullptr) ResolveWave(nullptr, keys + i, m, results, resolved);
+    if (probes > 0) {
+      ResolveWave(nullptr, probe_keys, probes, probe_results, probe_words);
+      for (size_t t = 0; t < probes; t++) {
+        results[probe_rows[t]].status = probe_results[t].status;
+        words[probe_rows[t]] = probe_words[t];
+      }
+    }
     FetchWave(words, m, results);
     for (size_t j = 0; j < m; j++) {
       if (results[j].status != GetResult::kFound) continue;
@@ -1434,36 +1457,37 @@ uint64_t FlatStore::ScanFullIteration(
   return AppendRows(keys.data(), packed.data(), keys.size(), count, out);
 }
 
-// Hash-index scan (DESIGN.md §11): keys come in order from a windowed
-// k-way merge of the tier's L0 list and the per-core delta sets; values
-// are read authoritatively back through the volatile index, so a stale
-// tier node or a racy delta membership costs one wasted probe, never
-// correctness.
+// Hash-index scan (DESIGN.md §11.4): keys come in order from a windowed
+// merge of the per-core delta sets and the tier's L0 list. A key only the
+// tier proposes is served from its node's `packed` word with no index
+// probe; a delta key resolves through the index. That is exact under the
+// tier/delta invariant (CoreState::delta), given that each window
+// snapshots the delta sets before it gathers from the tier.
 uint64_t FlatStore::ScanMerged(
     uint64_t start_key, uint64_t count,
     std::vector<std::pair<uint64_t, std::string>>* out) {
   // A single guest pin holds reclamation off store-wide for the scan's
   // duration (entries may live in any group's logs). Tier nodes need no
-  // pin: arena chunks are never freed.
+  // pin, and neither do the tiered entries their words name: arena and
+  // tiered chunks are never freed.
   common::EpochManager::GuestGuard guard(epochs_.get());
   vt::Charge(vt::kEpochPinCost);
   uint64_t produced = 0;
   uint64_t cursor = start_key;
-  std::vector<uint64_t> keys;
+  std::vector<uint64_t> delta, tiered, tiered_packed, keys, packed;
   while (produced < count) {
     // Exactly the rows still owed; a tombstone or a key the index no
     // longer holds costs another window, not a standing over-read.
     const uint64_t want = count - produced;
-    keys.clear();
     // Window bound: a source that filled its quota may still hold keys
     // below another source's last emitted key, so only keys up to the
     // smallest truncated source's last key are completely merged.
     uint64_t bound = UINT64_MAX;
     bool truncated = false;
-    if (tier_ != nullptr && tier_->Gather(cursor, want, &keys) == want) {
-      truncated = true;
-      bound = keys.back();
-    }
+    // Delta snapshot first: a tiering pass that erases a key after this
+    // point has already published the key's newer word in its node, so
+    // the Gather below reads that word.
+    delta.clear();
     for (auto& csp : cores_) {
       LockGuard<SpinLock> dg(csp->delta_lock);
       auto it = csp->delta.lower_bound(cursor);
@@ -1471,7 +1495,7 @@ uint64_t FlatStore::ScanMerged(
       uint64_t last = 0;
       while (it != csp->delta.end() && taken < want) {
         last = *it;
-        keys.push_back(last);
+        delta.push_back(last);
         taken++;
         ++it;
       }
@@ -1480,14 +1504,35 @@ uint64_t FlatStore::ScanMerged(
         bound = std::min(bound, last);
       }
     }
-    std::sort(keys.begin(), keys.end());
-    keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-    if (truncated) {
-      keys.erase(std::upper_bound(keys.begin(), keys.end(), bound),
-                 keys.end());
+    std::sort(delta.begin(), delta.end());
+    tiered.clear();
+    tiered_packed.clear();
+    if (tier_->Gather(cursor, want, &tiered, 0, nullptr, &tiered_packed) ==
+        want) {
+      truncated = true;
+      bound = std::min(bound, tiered.back());
     }
-    // Values come back through the index in batched, overlapped waves.
-    produced += AppendRows(keys.data(), nullptr, keys.size(), want, out);
+    // Merge the two sorted sources up to the bound; a key in both is a
+    // delta key.
+    keys.clear();
+    packed.clear();
+    size_t d = 0, t = 0;
+    while (d < delta.size() || t < tiered.size()) {
+      const bool take_delta =
+          t == tiered.size() || (d < delta.size() && delta[d] <= tiered[t]);
+      const uint64_t key = take_delta ? delta[d] : tiered[t];
+      if (key > bound) break;
+      keys.push_back(key);
+      if (take_delta) {
+        packed.push_back(kResolveThroughIndex);
+        if (t < tiered.size() && tiered[t] == key) t++;
+        d++;
+      } else {
+        packed.push_back(tiered_packed[t]);
+        t++;
+      }
+    }
+    produced += AppendRows(keys.data(), packed.data(), keys.size(), want, out);
     if (!truncated || bound == UINT64_MAX) break;  // sources exhausted
     cursor = bound + 1;
   }
@@ -1603,8 +1648,7 @@ std::vector<int> FlatStore::SocketCores() const {
   return sc;
 }
 
-// Callers serialize: Create/Open before any threads, RunTieringOnce
-// under tier_lock_.
+// Create/Open only, before any serving or cleaner thread runs.
 void FlatStore::EnsureTier() {
   if (tier_ != nullptr) return;
   tier_ = tier::PersistentTier::Create(pool_, alloc_.get(),
@@ -1618,8 +1662,10 @@ void FlatStore::EnsureTier() {
 }
 
 size_t FlatStore::RunTieringOnce() {
+  // A store without the tier keeps no delta sets, so a tier born here
+  // could not enumerate the keys written before it (DESIGN.md §11.4).
+  if (!TierActive()) return 0;
   LockGuard<SpinLock> g(tier_lock_);
-  EnsureTier();
   size_t converted = 0;
   for (int c = 0; c < options_.num_cores; c++) {
     const std::vector<log::OpLog::TierCandidate> cands =
@@ -1695,16 +1741,62 @@ bool FlatStore::ConvertChunk(int core,
                         sizeof(sb->tier_frontier_seq[core]));
   }
   logs_[core]->DetachForTier(cand.chunk_off);
-  // The batch's keys are now tier-discoverable: drop them from the
-  // delta sets (racy against a concurrent re-dirtying write — benign,
-  // see CoreState::delta).
+  // The batch's keys are now tier-discoverable. Drop a key from its
+  // delta set only if, under the set's lock, the index still holds the
+  // word just tiered: a write drained since keeps the key (Drain adds
+  // and publishes under the same lock), so the tier/delta invariant
+  // holds (CoreState::delta). The re-probe is charged to this pass.
   for (const tier::TierEntry& te : entries) {
-    CoreState& cs = *cores_[CoreForKey(te.key)];
+    const int owner = CoreForKey(te.key);
+    CoreState& cs = *cores_[owner];
     LockGuard<SpinLock> dg(cs.delta_lock);
-    cs.delta.erase(te.key);
+    uint64_t cur = 0;
+    if (IndexForCore(owner)->Get(te.key, &cur) && cur == te.packed) {
+      cs.delta.erase(te.key);
+    }
   }
   chunks_tiered_++;
   return true;
+}
+
+std::optional<uint64_t> FlatStore::DebugCheckTierDelta() {
+  if (!TierActive()) return std::nullopt;
+  // Snapshots first, so no lock is held while another is taken.
+  std::unordered_set<uint64_t> delta;
+  for (auto& csp : cores_) {
+    LockGuard<SpinLock> dg(csp->delta_lock);
+    delta.insert(csp->delta.begin(), csp->delta.end());
+  }
+  std::unordered_map<uint64_t, uint64_t> indexed, nodes;
+  for (auto& idx : indexes_) {
+    idx->ForEach(
+        [&](uint64_t key, uint64_t packed) { indexed.emplace(key, packed); });
+  }
+  tier_->ForEach(
+      [&](uint64_t key, uint64_t packed) { nodes.emplace(key, packed); });
+  std::optional<uint64_t> bad;
+  auto note = [&](uint64_t key) {
+    if (!bad || key < *bad) bad = key;
+  };
+  for (const auto& [key, packed] : indexed) {
+    if (delta.count(key) != 0) continue;
+    auto it = nodes.find(key);
+    if (it == nodes.end() || it->second != packed) note(key);
+  }
+  // A tiered tombstone's entry lives in a never-freed tiered chunk; the
+  // pin only keeps the decode discipline.
+  common::EpochManager::GuestGuard guard(epochs_.get());
+  for (const auto& [key, packed] : nodes) {
+    if (delta.count(key) != 0 || indexed.count(key) != 0) continue;
+    log::DecodedEntry e;
+    const bool tombstone =
+        log::DecodeEntry(static_cast<const uint8_t*>(
+                             pool_->At(log::UnpackOffset(packed))),
+                         log::kMaxEntrySize, &e) &&
+        e.op == log::OpType::kDelete;
+    if (!tombstone) note(key);
+  }
+  return bad;
 }
 
 // ---- shutdown / recovery ---------------------------------------------------

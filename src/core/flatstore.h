@@ -104,7 +104,9 @@ struct FlatStoreOptions {
   // bounding recovery to the un-tiered log suffix and giving FlatStore-H
   // an ordered scan path. A store whose pool already holds a tier always
   // loads and honours it on Open regardless of this flag (stale tier
-  // nodes must keep duelling or recovery would lose updates).
+  // nodes must keep duelling or recovery would lose updates). Off, with
+  // no tier on the pool, RunTieringOnce converts nothing: the tier is
+  // born only in Create/Open, where every key is already tracked.
   bool tier_enabled = false;
   // Minimum write-clock age before a sealed chunk may tier (0 = any).
   uint64_t tier_age = 0;
@@ -360,14 +362,20 @@ class FlatStore {
 
   // One synchronous tiering pass: per core, converts up to
   // tier_max_chunks eligible sealed chunks (cold cleaner chunks first)
-  // into the persistent skiplist and detaches them from the log. Creates
-  // the tier lazily on first use. Returns the number of chunks converted.
-  // Serialized internally; safe to call concurrently with serving.
+  // into the persistent skiplist and detaches them from the log. Returns
+  // the number of chunks converted — 0 on a store without the tier
+  // (FlatStoreOptions::tier_enabled). Serialized internally; safe to
+  // call concurrently with serving.
   size_t RunTieringOnce();
   // The tier, or nullptr while none exists (never created / not on PM).
   tier::PersistentTier* tier() const { return tier_.get(); }
   // Chunks converted into the tier by this process (stat).
   uint64_t ChunksTiered() const { return chunks_tiered_; }
+  // Checks the tier/delta invariant (CoreState::delta) over every index
+  // entry and tier node; returns the first key that breaks it, or
+  // nullopt. The store must be quiesced. Tests only; not for serving
+  // paths.
+  std::optional<uint64_t> DebugCheckTierDelta();
 
   // Per-phase timings of the last Open's recovery (bench_recovery).
   struct RecoveryStats {
@@ -418,8 +426,8 @@ class FlatStore {
 
   void BuildIndexes();
   void EnsureCleaners();
-  // Formats the tier on first use and publishes its root in the
-  // superblock (persist-before-publish). No-op if it already exists.
+  // Formats the tier and publishes its root in the superblock
+  // (persist-before-publish). No-op if it already exists.
   void EnsureTier();
   // Converts one claimed candidate chunk into the tier. Returns false if
   // the arena cannot grow (PM exhausted); the claim is then released.
@@ -427,7 +435,8 @@ class FlatStore {
   // One representative core per pool socket (tier arena placement).
   std::vector<int> SocketCores() const;
   // Delta sets (and the hash-scan merge path) are maintained whenever a
-  // tier exists or will be created on first RunTieringOnce.
+  // tier exists, and during an Open about to create one (its replay
+  // fills the sets).
   bool TierActive() const {
     return options_.tier_enabled || tier_ != nullptr;
   }
@@ -480,13 +489,18 @@ class FlatStore {
     size_t pend_count = 0;
     common::OpenTable<InflightKey> inflight_keys;
 
-    // Tier delta set (DESIGN.md §11): keys this core owns whose current
-    // index entry still lives in an un-tiered log chunk. Only maintained
-    // while TierActive(). ScanMerged unions these with the tier's L0
-    // list to enumerate keys in order; values are always read back
-    // through the index, so a racy membership (a key erased by the
-    // tiering pass just as a serving write re-dirtied it) is benign —
-    // the key stays discoverable through its tier node.
+    // Tier delta set (DESIGN.md §11.4): keys this core owns that the
+    // tier cannot serve. Only maintained while TierActive(). Invariant:
+    // for every key k of this core NOT in the set, index[k] equals the
+    // `packed` of k's tier node, or k has no index entry and its tier
+    // node names a tombstone. ScanMerged relies on it to serve keys only
+    // the tier proposes straight from the node's word, with no index
+    // probe; keys in the set resolve through the index. A key may sit in
+    // the set longer than needed (it then costs one probe), never
+    // shorter: Drain adds a round's keys before publishing them in the
+    // index, holding this lock across the publish, and the tiering pass
+    // erases a key only while, under this lock, the index still equals
+    // the word it tiered.
     SpinLock delta_lock;
     std::set<uint64_t> delta;
 
@@ -524,10 +538,14 @@ class FlatStore {
   // overlapped read wave, then the out-of-log value blocks as a second;
   // tombstones turn into kAbsent.
   void FetchWave(const uint64_t* packed, size_t n, ReadResult* results);
+  // Entry word of a scan row that must resolve through the index; no
+  // entry lives at offset 0 (the superblock does), so no real word is 0.
+  static constexpr uint64_t kResolveThroughIndex = 0;
   // Appends the live rows among `n` key-ordered keys to `*out` through
   // the read wave, at most `limit` of them, reading no key past the one
-  // that fills the limit. `packed` null resolves every key through the
-  // index first; otherwise packed[i] is the entry word of keys[i].
+  // that fills the limit. packed[i] is the entry word of keys[i], or
+  // kResolveThroughIndex: those rows alone go through ResolveWave, as a
+  // sub-batch, and every row then goes through the one FetchWave.
   // Returns the number of rows appended.
   uint64_t AppendRows(const uint64_t* keys, const uint64_t* packed, size_t n,
                       uint64_t limit,
@@ -547,9 +565,8 @@ class FlatStore {
   // instantiates cleaner objects without starting threads).
   bool cleaners_running_ = false;
 
-  // Ordered persistent tier (DESIGN.md §11). Created in Create/Open (or
-  // lazily under tier_lock_ before any cleaner thread starts), so
-  // concurrent readers (cleaner tier_stale hook, ScanMerged) see a
+  // Ordered persistent tier (DESIGN.md §11). Created only in Create/Open,
+  // so concurrent readers (cleaner tier_stale hook, ScanMerged) see a
   // stable pointer.
   std::unique_ptr<tier::PersistentTier> tier_;
   // Serializes tiering passes (the tier is single-mutator).

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <new>
 #include <sstream>
+#include <utility>
 
 #include "vt/clock.h"
 #include "vt/costs.h"
@@ -458,7 +459,8 @@ bool PersistentTier::Get(uint64_t key, uint64_t* packed,
 
 size_t PersistentTier::Gather(uint64_t start, size_t want,
                               std::vector<uint64_t>* out, int socket_hint,
-                              uint64_t* nodes_read) const {
+                              uint64_t* nodes_read,
+                              std::vector<uint64_t>* packed) const {
   if (nodes_read != nullptr) *nodes_read = 0;
   if (want == 0) return 0;
   constexpr uint64_t kToEnd = UINT64_MAX;
@@ -542,7 +544,8 @@ size_t PersistentTier::Gather(uint64_t start, size_t want,
   };
   plan();
 
-  std::vector<uint64_t> found;  // every key >= start read, any order
+  // {key, packed} of every node >= start read, any order.
+  std::vector<std::pair<uint64_t, uint64_t>> found;
   std::vector<size_t> open;     // chains read this round
   vt::Clock* clock = vt::CurrentClock();
   for (;;) {
@@ -571,7 +574,7 @@ size_t PersistentTier::Gather(uint64_t start, size_t want,
       planned -= share(c);
       const TierNode* n = NodeAt(c.next);
       if (n->key >= start) {
-        found.push_back(n->key);
+        found.emplace_back(n->key, LoadLink(&n->packed));
         c.keys++;
       }
       c.next = LoadLink(&n->next);
@@ -589,7 +592,10 @@ size_t PersistentTier::Gather(uint64_t start, size_t want,
   // the smallest >= start.
   std::sort(found.begin(), found.end());
   const size_t n = std::min<size_t>(found.size(), want);
-  out->insert(out->end(), found.begin(), found.begin() + n);
+  for (size_t i = 0; i < n; i++) {
+    out->push_back(found[i].first);
+    if (packed != nullptr) packed->push_back(found[i].second);
+  }
   if (nodes_read != nullptr) *nodes_read = found.size();
   return n;
 }

@@ -177,8 +177,11 @@ class PersistentTier {
   bool Get(uint64_t key, uint64_t* packed, int socket_hint = 0) const;
 
   // Appends to `*out`, in key order, the first `want` keys >= `start`
-  // (fewer only when the tier runs out). Read-only; values are not
-  // returned — callers read them authoritatively through the index.
+  // (fewer only when the tier runs out), and — when `packed` is non-null
+  // — each key's node `packed` word to `*packed` in the same order.
+  // Read-only; the words are what the nodes held when read, which a
+  // caller may serve only behind its own freshness rule (the engine's
+  // delta sets, DESIGN.md §11.4).
   //
   // Socket `socket_hint`'s level-1 lane cuts L0 into segments (a lane
   // holds only its socket's nodes, so on several sockets the segments are
@@ -196,7 +199,8 @@ class PersistentTier {
   // reads exactly min(want, available) keys >= `start`; `nodes_read`
   // (optional) receives how many it read.
   size_t Gather(uint64_t start, size_t want, std::vector<uint64_t>* out,
-                int socket_hint = 0, uint64_t* nodes_read = nullptr) const;
+                int socket_hint = 0, uint64_t* nodes_read = nullptr,
+                std::vector<uint64_t>* packed = nullptr) const;
 
   // Renders every socket's lanes — each level's keys and PM offsets, and
   // every segment count — as text. Tests compare a maintained tier against

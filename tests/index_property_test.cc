@@ -163,7 +163,12 @@ TEST_P(IndexPropertyTest, CasRacesWithWriterStaySane) {
   std::thread cleaner([&] {
     while (!stop.load(std::memory_order_relaxed)) {
       uint64_t v;
-      if (idx->Get(kKey, &v)) idx->CompareExchange(kKey, v, v + 1000000);
+      // Bump only a value the writer wrote: the loop may spin on after
+      // the last Upsert, and re-bumping a bumped value would leave
+      // 2999 + k * 1000000 for any k.
+      if (idx->Get(kKey, &v) && v < 1000000) {
+        idx->CompareExchange(kKey, v, v + 1000000);
+      }
     }
   });
   for (uint64_t i = 2; i < 3000; i++) {

@@ -2,13 +2,16 @@
 // merged hash-store scans, scan equivalence against the full-iteration
 // baseline under puts/deletes/GC churn, tombstone handling, incremental
 // (bounded) recovery that skips tiered chunks, the DRAM lanes and segment
-// counts InsertBatch maintains, and the counted-segment tier gather plus
-// batched read wave behind every scan (§11.4).
+// counts InsertBatch maintains, the counted-segment tier gather plus
+// batched read wave behind every scan, and the tier/delta invariant that
+// lets a scan serve tiered keys without an index probe (§11.4).
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -124,18 +127,28 @@ TEST(Tier, ScanEquivalentToFullIterationUnderChurn) {
     ASSERT_EQ(a, b) << "start=" << start << " count=" << count;
     ASSERT_EQ(merged, full) << "start=" << start << " count=" << count;
   };
+  auto invariant = [&](const char* step, int round) {
+    EXPECT_EQ(store->DebugCheckTierDelta(), std::nullopt)
+        << "after " << step << ", round " << round;
+  };
+  invariant("preload", 0);
   for (int round = 1; round <= 4; round++) {
     // Churn: overwrites, deletes, re-puts — then GC and tiering passes.
     for (uint64_t k = 0; k < kKeys; k += 3) {
       store->Put(k, ValueFor(k, static_cast<uint64_t>(round), 50 + round));
     }
+    invariant("overwrites", round);
     for (uint64_t k = 1; k < kKeys; k += 97) store->Delete(k);
+    invariant("deletes", round);
     for (uint64_t k = 1; k < kKeys; k += 194) {
       store->Put(k, ValueFor(k, static_cast<uint64_t>(round), 33));
     }
+    invariant("re-puts", round);
     store->SealActiveLogChunks();
     store->RunCleanersOnce();
+    invariant("cleaning", round);
     store->RunTieringOnce();
+    invariant("tiering", round);
     compare(0, kKeys);
     compare(kKeys / 3, 100);
     compare(kKeys - 40, 200);  // tail: fewer than `count` keys remain
@@ -144,42 +157,96 @@ TEST(Tier, ScanEquivalentToFullIterationUnderChurn) {
   EXPECT_GT(store->ChunksTiered(), 0u);
 }
 
-// Scans racing live writers must stay well-formed: strictly ascending
-// keys, no crashes, every returned value a version some Put wrote.
-TEST(Tier, ConcurrentScanSmoke) {
+// A 48-byte value carrying its key and a per-key write nonce.
+std::string StampedValue(uint64_t key, uint64_t nonce) {
+  std::string v(48, static_cast<char>('a' + key % 26));
+  std::memcpy(&v[0], &key, 8);
+  std::memcpy(&v[8], &nonce, 8);
+  return v;
+}
+
+// Freshness under the three racing actors the tier/delta invariant
+// orders: a writer, a tiering pass and a scanner. A row served from a
+// tier node must never be older than a write acknowledged before the
+// scan began. An unconditional tiering erase or a Gather ahead of the
+// delta snapshot breaks this within a few runs; a misordered Drain
+// would too, but its window (one index insert) is too short for this
+// race to hit reliably.
+TEST(Tier, ScansNeverServeOlderThanAcked) {
   auto pool = MakePool(256);
-  auto store = FlatStore::Create(pool.get(), TierOptions());
-  constexpr uint64_t kKeys = 1024;
-  for (uint64_t k = 0; k < kKeys; k++) {
-    store->Put(k, ValueFor(k, 0, 48));
-  }
+  FlatStoreOptions fo = TierOptions();
+  // Overwrites leave few live entries per sealed chunk; tier them anyway
+  // so conversions keep racing the writer.
+  fo.tier_min_live_ratio = 0.01;
+  auto store = FlatStore::Create(pool.get(), fo);
+  constexpr uint64_t kKeys = 512;
+  std::vector<std::atomic<uint64_t>> acked(kKeys);
+  for (uint64_t k = 0; k < kKeys; k++) store->Put(k, StampedValue(k, 0));
+  // The writer's first puts move the durable tails past this chunk.
   store->SealActiveLogChunks();
-  store->RunTieringOnce();
-  std::atomic<bool> stop{false};
+
+  // Every seal strands a chunk per core that tiers and is never freed,
+  // so the writer runs a fixed number of seal cycles.
+  constexpr int kSeals = 20;
+  std::atomic<bool> done{false};
   std::thread writer([&] {
-    uint64_t nonce = 1;
-    while (!stop.load(std::memory_order_relaxed)) {
-      for (uint64_t k = 0; k < kKeys; k += 5) {
-        store->Put(k, ValueFor(k, nonce, 48));
+    std::mt19937_64 rng(3);
+    uint64_t nonce = 0;
+    for (int seal = 0; seal < kSeals; seal++) {
+      for (int round = 0; round < 8; round++) {
+        nonce++;
+        for (int i = 0; i < 64; i++) {
+          const uint64_t k = rng() % kKeys;
+          store->Put(k, StampedValue(k, nonce));
+          // Acknowledged: every scan that starts from here on must see it.
+          acked[k].store(nonce, std::memory_order_release);
+        }
       }
-      nonce++;
+      store->SealActiveLogChunks();
     }
+    done.store(true, std::memory_order_release);
   });
-  for (int i = 0; i < 50; i++) {
-    ScanRows rows;
-    store->Scan((i * 37) % kKeys, 120, &rows);
-    for (size_t j = 1; j < rows.size(); j++) {
-      ASSERT_LT(rows[j - 1].first, rows[j].first);
+  std::thread tierer([&] {
+    while (!done.load(std::memory_order_acquire)) store->RunTieringOnce();
+    store->RunTieringOnce();
+  });
+
+  // The scanner runs in a lambda so a failed assertion still reaches the
+  // joins below.
+  auto scanner = [&] {
+    std::mt19937_64 rng(9);
+    std::vector<uint64_t> floor(kKeys);
+    int scans = 0;
+    while (!done.load(std::memory_order_acquire) || scans < 200) {
+      scans++;
+      const uint64_t start = rng() % kKeys;
+      const uint64_t len = 1 + rng() % 100;
+      for (uint64_t k = start; k < std::min(kKeys, start + len); k++) {
+        floor[k] = acked[k].load(std::memory_order_acquire);
+      }
+      ScanRows rows;
+      store->Scan(start, len, &rows);
+      // No key is ever deleted, so the window is exactly [start, start+len).
+      ASSERT_EQ(rows.size(), std::min(len, kKeys - start)) << start;
+      for (size_t j = 0; j < rows.size(); j++) {
+        const uint64_t k = rows[j].first;
+        ASSERT_EQ(k, start + j);
+        ASSERT_EQ(rows[j].second.size(), 48u) << k;
+        uint64_t key = 0, nonce = 0;
+        std::memcpy(&key, rows[j].second.data(), 8);
+        std::memcpy(&nonce, rows[j].second.data() + 8, 8);
+        ASSERT_EQ(key, k);
+        ASSERT_GE(nonce, floor[k])
+            << "key " << k << " served a write older than one acknowledged"
+            << " before the scan began";
+      }
     }
-    for (const auto& [k, v] : rows) {
-      ASSERT_EQ(v.size(), 48u) << k;
-      uint64_t embedded = 0;
-      std::memcpy(&embedded, v.data(), 8);
-      ASSERT_EQ(embedded, k);
-    }
-  }
-  stop.store(true);
+  };
+  scanner();
   writer.join();
+  tierer.join();
+  EXPECT_GT(store->ChunksTiered(), 1u);
+  EXPECT_EQ(store->DebugCheckTierDelta(), std::nullopt);
 }
 
 TEST(Tier, RecoverySkipsTieredChunksAndKeepsData) {
@@ -201,6 +268,7 @@ TEST(Tier, RecoverySkipsTieredChunksAndKeepsData) {
   EXPECT_GT(rep.tiered_chunks, 0u);
   EXPECT_GT(rep.tier_nodes, 0u);
   auto store = FlatStore::Open(pool.get(), TierOptions());
+  EXPECT_EQ(store->DebugCheckTierDelta(), std::nullopt);
   const auto& rs = store->recovery_stats();
   EXPECT_GT(rs.tier_nodes_loaded, 0u);
   EXPECT_GT(rs.chunks_skipped_tiered, 0u);
@@ -252,6 +320,7 @@ TEST(Tier, RepeatedConversionAcrossReopens) {
   for (int gen = 0; gen < 3; gen++) {
     auto store = gen == 0 ? FlatStore::Create(pool.get(), TierOptions())
                           : FlatStore::Open(pool.get(), TierOptions());
+    EXPECT_EQ(store->DebugCheckTierDelta(), std::nullopt) << "gen " << gen;
     for (uint64_t k = 0; k < 400; k++) {
       store->Put(k + static_cast<uint64_t>(gen) * 1000,
                  ValueFor(k, static_cast<uint64_t>(gen), 46));
@@ -260,6 +329,7 @@ TEST(Tier, RepeatedConversionAcrossReopens) {
     store->RunTieringOnce();
   }
   auto store = FlatStore::Open(pool.get(), TierOptions());
+  EXPECT_EQ(store->DebugCheckTierDelta(), std::nullopt);
   for (int gen = 0; gen < 3; gen++) {
     for (uint64_t k = 0; k < 400; k += 11) {
       std::string v;
@@ -567,6 +637,69 @@ TEST(Tier, ScanSpansWindowsAcrossTieredTombstones) {
       ASSERT_EQ(merged, full) << start << "+" << count;
     }
   }
+}
+
+// A store created without the tier keeps no delta sets, so a tiering
+// pass must not create a tier behind its back: the keys written before
+// it would be invisible to the merged scan. Enabling the tier takes a
+// reopen, whose replay rebuilds the delta sets.
+TEST(Tier, TieringPassWithoutTheTierConvertsNothing) {
+  auto pool = MakePool();
+  FlatStoreOptions fo = TierOptions();
+  fo.tier_enabled = false;
+  {
+    auto store = FlatStore::Create(pool.get(), fo);
+    for (uint64_t k = 0; k < 512; k++) store->Put(k, ValueFor(k, 1, 40));
+    store->SealActiveLogChunks();
+    for (uint64_t k = 512; k < 520; k++) store->Put(k, ValueFor(k, 1, 40));
+    EXPECT_EQ(store->RunTieringOnce(), 0u);
+    EXPECT_EQ(store->tier(), nullptr);
+    EXPECT_FALSE(store->CanScan());
+    EXPECT_EQ(store->ChunksTiered(), 0u);
+  }
+  auto store = FlatStore::Open(pool.get(), TierOptions());
+  ASSERT_NE(store->tier(), nullptr);
+  EXPECT_GT(store->RunTieringOnce(), 0u);
+  EXPECT_EQ(store->DebugCheckTierDelta(), std::nullopt);
+  ScanRows rows, full;
+  EXPECT_EQ(store->ScanFullIteration(0, 520, &full), 520u);
+  EXPECT_EQ(store->Scan(0, 520, &rows), 520u);
+  EXPECT_EQ(rows, full);
+}
+
+// The saving itself: a key only the tier proposes is served from its
+// node's entry word, with no index probe. A 100-key window over fully
+// tiered keys must charge at least one hash per row less than the same
+// window once every key in it is overwritten (so all of them sit in delta
+// sets and resolve through the index); both windows stay exact.
+TEST(Tier, TieredRowsSkipTheIndexProbe) {
+  auto pool = MakePool();
+  auto store = FlatStore::Create(pool.get(), TierOptions());
+  for (uint64_t k = 0; k < 600; k++) store->Put(k, ValueFor(k, 1, 40));
+  store->SealActiveLogChunks();
+  for (uint64_t k = 600; k < 608; k++) store->Put(k, ValueFor(k, 1, 40));
+  while (store->RunTieringOnce() > 0) {
+  }
+  auto window = [&](const char* what) {
+    ScanRows rows, full;
+    uint64_t charged = 0;
+    {
+      vt::Clock clock;
+      vt::ScopedClock bind(&clock);
+      const uint64_t t0 = clock.now();
+      EXPECT_EQ(store->Scan(200, 100, &rows), 100u) << what;
+      charged = clock.now() - t0;
+    }
+    EXPECT_EQ(store->ScanFullIteration(200, 100, &full), 100u) << what;
+    EXPECT_EQ(rows, full) << what;
+    return charged;
+  };
+  const uint64_t tiered = window("tiered");
+  for (uint64_t k = 200; k < 300; k++) store->Put(k, ValueFor(k, 2, 40));
+  const uint64_t delta = window("delta");
+  EXPECT_GE(delta, tiered + 100 * vt::kCpuHash)
+      << "tiered window " << tiered << " ns, delta window " << delta << " ns";
+  EXPECT_EQ(store->DebugCheckTierDelta(), std::nullopt);
 }
 
 }  // namespace
