@@ -3,7 +3,7 @@
 // FlatStore-H and FlatStore-M, at two levels:
 //
 //  * core sweep (the headline rows): one serving core driven directly —
-//    batch 1 is the legacy synchronous single-op put path (one
+//    batch 1 is the synchronous Put, a write batch of one (one
 //    AppendBatch, i.e. one persist sweep + two fences, per op); batch
 //    b > 1 admits b writes per MultiPutOnCore call, which resolves
 //    versions behind prefetch-interleaved index probes, l-persists all
@@ -13,10 +13,10 @@
 //    single-op path by batch 16, and fences per op strictly decreasing
 //    with the batch (~2/b plus the out-of-log l-persists).
 //  * server sweep (end-to-end context): the full client/server
-//    co-simulation sweeping ServerConfig::write_batch. Here batch 1 is
-//    already fence-amortized across cores by pipelined-HB leader
-//    batching, so the win is admission-side only (prefetch overlap,
-//    fused staging, doorbell-chained responses) and is smaller.
+//    co-simulation sweeping ServerConfig::write_batch. Here batch 1 (each
+//    op staged as it is admitted) is already fence-amortized across
+//    cores by pipelined-HB leader batching, so the win is admission-side
+//    only (prefetch overlap, fused staging) and is smaller.
 //
 // Every row lands in BENCH_multiput.json with a "level" discriminator
 // and a fences_per_op field (the standard Row schema has none), which
@@ -81,11 +81,11 @@ void RunCorePoint(benchmark::State& state, Rig& rig, const char* name) {
     while (done < ops_total) {
       const workload::Op op = gen.Next();
       if (op.type == workload::OpType::kGet) {
-        store->GetOnCore(0, op.key, &got);
+        store->Get(op.key, &got);  // a MultiGet of one key
         done++;
         continue;
       }
-      if (batch <= 1) {  // the legacy synchronous single-op put path
+      if (batch <= 1) {  // the synchronous Put: a write batch of one
         store->Put(op.key, std::string_view(buf.data(), op.value_len));
         done++;
         continue;

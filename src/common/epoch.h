@@ -1,7 +1,7 @@
 // Epoch-based reclamation (EBR) for log-entry dereferences.
 //
 // The serving cores dereference log entries through the volatile index
-// (Get, Drain-retire, Scan, BeginDelete) while the log cleaner relocates
+// (Get, Drain-retire, Scan, write admission) while the log cleaner relocates
 // survivors and frees victim chunks. The original design closed the
 // read-after-free window with a per-group std::shared_mutex: every
 // dereference was an atomic RMW on a lock line shared by the whole group,

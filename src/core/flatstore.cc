@@ -269,103 +269,6 @@ std::unique_ptr<FlatStore> FlatStore::Open(pm::PmPool* pool,
 
 // ---- asynchronous protocol ---------------------------------------------
 
-OpStatus FlatStore::BeginPut(int core, uint64_t key,
-                                        const void* value, uint32_t len,
-                                        OpHandle* handle) {
-  FLATSTORE_DCHECK(core == CoreForKey(key));
-  FLATSTORE_DCHECK(len >= 1);
-  CoreState& cs = *cores_[core];
-
-  // Version chaining: continue from the newest in-flight write on this
-  // key, else from the index.
-  uint32_t version;
-  if (const InflightKey* inflight = cs.inflight_keys.Find(key)) {
-    version = (inflight->last_version + 1) & log::kVersionMask;
-  } else {
-    uint64_t cur = 0;
-    version = IndexForCore(core)->Get(key, &cur)
-                  ? (log::UnpackVersion(cur) + 1) & log::kVersionMask
-                  : 1;
-  }
-
-  uint8_t buf[log::kMaxEntrySize];
-  uint32_t elen;
-  uint64_t block = 0;
-  if (len <= log::kMaxInlineValue) {
-    elen = log::EncodePutValue(buf, key, version, value, len);
-  } else {
-    // l-persist: store the record out of log as (v_len, value), persist.
-    block = alloc_->Alloc(core, len + 8);
-    if (block == 0) return OpStatus::kNoSpace;
-    char* dst = static_cast<char*>(pool_->At(block));
-    uint64_t len64 = len;
-    std::memcpy(dst, &len64, 8);
-    std::memcpy(dst + 8, value, len);
-    vt::Charge(vt::CostMemcpy(len));
-    pool_->Persist(dst, len + 8);
-    pool_->Fence();
-    elen = log::EncodePutPtr(buf, key, version, block);
-  }
-
-  if (!hb_->Stage(core, buf, elen, handle)) {
-    if (block != 0) alloc_->Free(block);
-    return OpStatus::kBackpressure;
-  }
-  cs.Push({*handle, key, version, false, 0});
-  InflightKey& fly = cs.inflight_keys.GetOrInsert(key);
-  fly.count++;
-  fly.last_version = version;
-  return OpStatus::kOk;
-}
-
-OpStatus FlatStore::BeginDelete(int core, uint64_t key,
-                                           OpHandle* handle) {
-  FLATSTORE_DCHECK(core == CoreForKey(key));
-  CoreState& cs = *cores_[core];
-
-  uint32_t version;
-  const InflightKey* inflight = cs.inflight_keys.Find(key);
-  uint64_t cur = 0;
-  const bool indexed = IndexForCore(core)->Get(key, &cur);
-  if (inflight != nullptr) {
-    // Chain behind the in-flight writes. (A delete behind a pending
-    // delete is rare and resolves as a redundant tombstone.)
-    version = (inflight->last_version + 1) & log::kVersionMask;
-  } else {
-    if (!indexed) return OpStatus::kNotFound;
-    common::EpochManager::Guard g(epochs_.get(), core);
-    vt::Charge(vt::kEpochPinCost);
-    log::DecodedEntry e;
-    if (log::DecodeEntry(static_cast<const uint8_t*>(
-                             pool_->At(log::UnpackOffset(cur))),
-                         log::kMaxEntrySize, &e) &&
-        e.op == log::OpType::kDelete) {
-      return OpStatus::kNotFound;  // already deleted (tombstone)
-    }
-    version = (log::UnpackVersion(cur) + 1) & log::kVersionMask;
-  }
-
-  // The tombstone remembers which chunk held the overwritten version so
-  // the cleaner knows when the tombstone itself may die (§3.4). With
-  // in-flight chained writes this is best effort (a GC heuristic).
-  uint32_t covered_seq = 0;
-  if (indexed) {
-    const uint64_t old_chunk =
-        AlignDown(log::UnpackOffset(cur), alloc::kChunkSize);
-    int owner;
-    root_->ChunkInfo(old_chunk, &owner, &covered_seq);
-  }
-
-  uint8_t buf[log::kPtrEntrySize];
-  uint32_t elen = log::EncodeDelete(buf, key, version, covered_seq);
-  if (!hb_->Stage(core, buf, elen, handle)) return OpStatus::kBackpressure;
-  cs.Push({*handle, key, version, true, covered_seq});
-  InflightKey& fly = cs.inflight_keys.GetOrInsert(key);
-  fly.count++;
-  fly.last_version = version;
-  return OpStatus::kOk;
-}
-
 size_t FlatStore::Pump(int core) { return hb_->TryPersist(core); }
 
 // fs-lint: epoch-held(called from Drain under the per-round epoch guard)
@@ -522,55 +425,8 @@ bool FlatStore::KeyBusy(int core, uint64_t key) const {
   return cores_[core]->inflight_keys.Contains(key);
 }
 
-void FlatStore::ReadValue(const log::DecodedEntry& e,
-                          std::string* value) const {
-  if (e.embedded) {
-    // The value rides in the log entry, which GetOnCore already fetched.
-    vt::Charge(vt::CostMemcpy(e.value_len));
-    value->assign(reinterpret_cast<const char*>(e.value), e.value_len);
-    return;
-  }
-  const char* block = static_cast<const char*>(pool_->At(e.ptr));
-  uint64_t len;
-  std::memcpy(&len, block, 8);
-  pool_->ChargeRead(block, len + 8);
-  vt::Charge(vt::CostMemcpy(len));
-  value->assign(block + 8, len);
-}
-
-bool FlatStore::GetOnCore(int core, uint64_t key, std::string* value) {
-  // Pin before the index lookup: the entry pointer read from the index
-  // stays dereferenceable until Unpin even if the cleaner unlinks its
-  // chunk concurrently (the physical free waits a grace period).
-  common::EpochManager::Guard g(epochs_.get(), core);
-  vt::Charge(vt::kEpochPinCost);
-  index::KvIndex* idx = IndexForCore(core);
-  uint64_t packed;
-  if (!idx->Get(key, &packed)) return false;
-  const uint64_t off = log::UnpackOffset(packed);
-  pool_->ChargeRead(pool_->At(off), log::kPtrEntrySize);  // entry fetch
-  log::DecodedEntry e;
-  bool ok = log::DecodeEntry(static_cast<const uint8_t*>(pool_->At(off)),
-                             log::kMaxEntrySize, &e);
-  if (!ok) {
-    int owner = -1;
-    uint32_t seq = 0;
-    bool reg = root_->ChunkInfo(AlignDown(off, alloc::kChunkSize), &owner,
-                                &seq);
-    FLATSTORE_CHECK(ok) << "index pointed at an invalid entry: key=" << key
-                        << " off=" << off
-                        << " ver=" << log::UnpackVersion(packed)
-                        << " chunk_registered=" << reg << " owner=" << owner
-                        << " seq=" << seq << " byte0="
-                        << int(*static_cast<const uint8_t*>(pool_->At(off)));
-  }
-  if (e.op == log::OpType::kDelete) return false;  // tombstone
-  ReadValue(e, value);
-  return true;
-}
-
-size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys, size_t n,
-                                 ReadResult* results) {
+FS_HOT size_t FlatStore::MultiGetOnCore(int core, const uint64_t* keys,
+                                        size_t n, ReadResult* results) {
   FLATSTORE_CHECK_LE(n, kMaxReadBatch);
   if (n == 0) return 0;
   // One pin covers every entry dereference in the batch.
@@ -630,7 +486,7 @@ void FlatStore::FetchWave(const uint64_t* packed, size_t n,
   uint64_t ready[kMaxReadBatch];  // read-completion times
   // Phase C: issue every log-entry header read at one instant; advance to
   // each completion only when that entry is decoded, so independent PM/
-  // DRAM fetches overlap instead of serializing as in GetOnCore.
+  // DRAM fetches overlap instead of serializing one read per key.
   vt::Clock* clock = vt::CurrentClock();
   const uint64_t issue = clock != nullptr ? clock->now() : 0;
   for (size_t i = 0; i < n; i++) {
@@ -728,8 +584,56 @@ uint64_t FlatStore::AppendRows(
   return added;
 }
 
-size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
-                                  OpHandle* handles, OpStatus* statuses) {
+// ---- write admission ----------------------------------------------------
+
+// A transaction is a write batch plus a precheck, a per-op resolve step
+// and a commit record: Admit calls Resolve for every op, in order, with
+// the key's value before it (in-txn read-your-writes included), and Seal
+// once the members are encoded.
+struct FlatStore::TxnFront {
+  TxnFront(const TxnOp* txn_ops, size_t n) : ops(txn_ops), failed(n) {}
+
+  const TxnOp* ops;
+  size_t failed;  // the kCas op whose compare failed, or n
+  OpHandle commit = kNoOpHandle;
+  uint8_t rmw_out[log::kMaxInlineValue];
+
+  // Turns ops[i] into the write to stage (`cur` is null when the key is
+  // absent); false aborts the txn.
+  bool Resolve(size_t i, const uint8_t* cur, uint32_t cur_len, WriteOp* w) {
+    const TxnOp& op = ops[i];
+    if (op.kind == TxnOpKind::kCas) {
+      const bool match =
+          op.expected == nullptr
+              ? cur == nullptr
+              : (cur != nullptr && cur_len == op.expected_len &&
+                 std::memcmp(cur, op.expected, cur_len) == 0);
+      if (!match) failed = i;
+      return match;
+    }
+    if (op.kind == TxnOpKind::kRmw) {
+      w->len = op.rmw(op.rmw_ctx, cur, cur_len, rmw_out,
+                      log::kMaxInlineValue);
+      FLATSTORE_CHECK(w->len >= 1 && w->len <= log::kMaxInlineValue)
+          << "RMW output must be 1.." << log::kMaxInlineValue << " bytes";
+      w->value = rmw_out;
+    }
+    return true;
+  }
+
+  // Commit record after the `len`-byte chain: member count, chain byte
+  // length, XXH64 over the chain bytes exactly as they land in the log.
+  log::OpLog::EntryRef Seal(uint8_t* chain, uint64_t len, size_t members) {
+    uint8_t* record = chain + len;
+    return {record,
+            log::EncodeTxnCommit(record, static_cast<uint32_t>(members), len,
+                                 Hash64(chain, len))};
+  }
+};
+
+FS_HOT size_t FlatStore::Admit(int core, const WriteOp* ops, size_t n,
+                               TxnFront* txn, OpHandle* handles,
+                               OpStatus* statuses) {
   static_assert(kMaxWriteBatch <= batch::HbEngine::kMaxBatch,
                 "a client batch must fit in one fused HB group");
   FLATSTORE_CHECK_LE(n, kMaxWriteBatch);
@@ -737,20 +641,25 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
   CoreState& cs = *cores_[core];
   index::KvIndex* idx = IndexForCore(core);
 
-  // All per-batch state is stack-resident (the serving path stays
-  // allocation-free).
-  uint8_t bufs[kMaxWriteBatch][log::kMaxEntrySize];
-  log::OpLog::EntryRef refs[kMaxWriteBatch];
+  // All per-group state is stack-resident (the serving path stays
+  // allocation-free). Entries encode back-to-back into `chain`, laid out
+  // exactly as they will land in the log; a txn's commit record goes last.
+  uint8_t chain[kMaxWriteBatch * log::kMaxEntrySize + log::kPtrEntrySize];
+  log::OpLog::EntryRef refs[kMaxWriteBatch + 1];
   uint64_t blocks[kMaxWriteBatch];  // out-of-log value blocks (0 = none)
   uint32_t versions[kMaxWriteBatch];
   uint32_t covered[kMaxWriteBatch];
   size_t slot_of[kMaxWriteBatch];  // op index -> fused-group position
+  // Staged values (null for a tombstone) for in-group reads: they alias
+  // the chain (inline) or the fresh value block (out-of-log).
+  const uint8_t* vals[kMaxWriteBatch];
+  uint32_t val_lens[kMaxWriteBatch];
   index::LookupHint hints[kMaxWriteBatch];
   uint64_t packed[kMaxWriteBatch];
   bool indexed[kMaxWriteBatch];
 
-  // The tombstone-liveness probe below dereferences log entries; one pin
-  // covers the whole batch.
+  // The liveness reads below dereference log entries; one pin covers the
+  // whole group.
   common::EpochManager::Guard g(epochs_.get(), core);
   vt::Charge(vt::kEpochPinCost);
 
@@ -778,246 +687,42 @@ size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
   // Phase C: resolve versions, encode entries, l-persist out-of-log
   // values. Every block Persist below shares the single Fence after the
   // loop (batched l-persist: independent value streams need one drain).
+  uint64_t chain_len = 0;
   size_t staged = 0;
-  bool fenced_needed = false;
-  bool nospace = false;
+  bool fence_needed = false;
+  bool aborted = false;  // PM exhausted, or the txn front refused an op
   for (size_t i = 0; i < n; i++) {
-    const WriteOp& op = ops[i];
-    // Version chaining, newest first: an earlier op of this batch on the
-    // same key, else the newest in-flight write, else the indexed entry.
-    uint32_t version = 0;
-    bool chained = false;
+    WriteOp op = ops[i];
+    // Version chaining, newest first: an earlier staged op of this group
+    // on the same key, else the newest in-flight write, else the index.
+    size_t prev = i;
     for (size_t j = i; j-- > 0;) {
       if (ops[j].key == op.key && statuses[j] == OpStatus::kOk) {
-        version = (versions[j] + 1) & log::kVersionMask;
-        chained = true;
+        prev = j;
         break;
       }
     }
-    if (!chained) {
-      if (const InflightKey* fly = cs.inflight_keys.Find(op.key)) {
-        version = (fly->last_version + 1) & log::kVersionMask;
-        chained = true;
-      }
-    }
-    uint32_t elen;
-    if (op.tombstone) {
-      if (!chained) {
-        if (!indexed[i]) {
-          statuses[i] = OpStatus::kNotFound;
-          continue;
-        }
-        log::DecodedEntry e;
-        if (log::DecodeEntry(static_cast<const uint8_t*>(
-                                 pool_->At(log::UnpackOffset(packed[i]))),
-                             log::kMaxEntrySize, &e) &&
-            e.op == log::OpType::kDelete) {
-          statuses[i] = OpStatus::kNotFound;  // already a tombstone
-          continue;
-        }
-        version = (log::UnpackVersion(packed[i]) + 1) & log::kVersionMask;
-      }
-      // Best-effort covered-chunk hint for tombstone GC (§3.4), as in
-      // BeginDelete.
-      covered[i] = 0;
-      if (indexed[i]) {
-        const uint64_t old_chunk =
-            AlignDown(log::UnpackOffset(packed[i]), alloc::kChunkSize);
-        int owner;
-        root_->ChunkInfo(old_chunk, &owner, &covered[i]);
-      }
-      elen = log::EncodeDelete(bufs[i], op.key, version, covered[i]);
-    } else {
-      FLATSTORE_DCHECK(op.len >= 1);
-      if (!chained) {
-        version =
-            indexed[i] ? (log::UnpackVersion(packed[i]) + 1) & log::kVersionMask
-                       : 1;
-      }
-      covered[i] = 0;
-      if (op.len <= log::kMaxInlineValue) {
-        elen = log::EncodePutValue(bufs[i], op.key, version, op.value, op.len);
-      } else {
-        const uint64_t block = alloc_->Alloc(core, op.len + 8);
-        if (block == 0) {
-          statuses[i] = OpStatus::kNoSpace;
-          nospace = true;
-          break;
-        }
-        char* dst = static_cast<char*>(pool_->At(block));
-        uint64_t len64 = op.len;
-        std::memcpy(dst, &len64, 8);
-        std::memcpy(dst + 8, op.value, op.len);
-        vt::Charge(vt::CostMemcpy(op.len));
-        // fs-lint: fence-guarded(drained by the one Fence below under the flag)
-        // Abort paths free the blocks; dead data needs no fence.
-        pool_->Persist(dst, op.len + 8);
-        fenced_needed = true;
-        blocks[i] = block;
-        elen = log::EncodePutPtr(bufs[i], op.key, version, block);
-      }
-    }
-    versions[i] = version;
-    refs[staged] = {bufs[i], elen};
-    slot_of[i] = staged;
-    staged++;
-  }
-  if (fenced_needed) pool_->Fence();  // one drain for all l-persists
-
-  if (nospace) {
-    // PM exhausted mid-batch: abort the whole batch (nothing staged) so
-    // the caller sees a clean all-or-nothing failure.
-    for (size_t i = 0; i < n; i++) {
-      if (blocks[i] != 0) alloc_->Free(blocks[i]);
-      if (statuses[i] == OpStatus::kOk) statuses[i] = OpStatus::kNoSpace;
-    }
-    return 0;
-  }
-  if (staged == 0) return 0;  // every op was a not-found delete
-
-  // Phase D: stage the batch as ONE fused group — all-or-nothing.
-  uint64_t fused_handles[kMaxWriteBatch];
-  if (!hb_->StageBatch(core, refs, staged, fused_handles)) {
-    for (size_t i = 0; i < n; i++) {
-      if (blocks[i] != 0) alloc_->Free(blocks[i]);
-      if (statuses[i] == OpStatus::kOk) statuses[i] = OpStatus::kBackpressure;
-    }
-    return 0;
-  }
-  for (size_t i = 0; i < n; i++) {
-    if (statuses[i] != OpStatus::kOk) continue;
-    const OpHandle h = fused_handles[slot_of[i]];
-    handles[i] = h;
-    cs.Push({h, ops[i].key, versions[i], ops[i].tombstone, covered[i]});
-    InflightKey& fly = cs.inflight_keys.GetOrInsert(ops[i].key);
-    fly.count++;
-    fly.last_version = versions[i];
-  }
-  return staged;
-}
-
-size_t FlatStore::MultiPutOnCore(int core, const WriteOp* ops, size_t n,
-                                 OpStatus* statuses) {
-  OpHandle handles[kMaxWriteBatch];
-  size_t staged;
-  while (true) {
-    staged = BeginWriteBatch(core, ops, n, handles, statuses);
-    if (staged > 0) break;
-    bool backpressure = false;
-    for (size_t i = 0; i < n; i++) {
-      backpressure |= statuses[i] == OpStatus::kBackpressure;
-    }
-    // Not backpressure => nothing will ever stage (all kNotFound /
-    // kNoSpace) — done.
-    if (!backpressure) return 0;
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  while (Inflight(core) > 0) {
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  return staged;
-}
-
-// ---- transactions (§5.3) -------------------------------------------------
-
-TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
-                              OpHandle* commit_handle, size_t* failed_op) {
-  static_assert(kMaxTxnOps + 1 <= batch::HbEngine::kMaxBatch,
-                "a txn chain plus its commit record must fit one fused group");
-  static_assert(kMaxTxnOps <= log::kMaxTxnChain,
-                "readers must be able to buffer a whole chain");
-  FLATSTORE_CHECK_LE(n, kMaxTxnOps);
-  *commit_handle = kNoOpHandle;
-  if (failed_op != nullptr) *failed_op = n;
-  if (n == 0) return TxnStatus::kCommitted;
-  CoreState& cs = *cores_[core];
-  index::KvIndex* idx = IndexForCore(core);
-
-  // Conflict detection: §3.3's conflict queue widened to whole txns — any
-  // key with in-flight writes fails the txn up front, so the current-value
-  // reads below (kCas compares, kRmw inputs) see stable committed state
-  // and the version chains cannot interleave with a concurrent drain.
-  for (size_t i = 0; i < n; i++) {
-    FLATSTORE_DCHECK(core == CoreForKey(ops[i].key));
-    if (cs.inflight_keys.Contains(ops[i].key)) {
-      if (failed_op != nullptr) *failed_op = i;
-      return TxnStatus::kBusy;
-    }
-  }
-
-  // Entry dereferences below need the pin (the cleaner may unlink chunks).
-  common::EpochManager::Guard g(epochs_.get(), core);
-  vt::Charge(vt::kEpochPinCost);
-
-  index::LookupHint hints[kMaxTxnOps];
-  uint64_t packed[kMaxTxnOps];
-  bool indexed[kMaxTxnOps];
-  {
-    const int ways = n > static_cast<size_t>(vt::kMemParallelism)
-                         ? vt::kMemParallelism
-                         : static_cast<int>(n);
-    vt::ScopedOverlap overlap(ways);
-    // Phase A/B: prefetch-interleaved probes, as in BeginWriteBatch.
-    for (size_t i = 0; i < n; i++) idx->PrefetchGet(ops[i].key, &hints[i]);
-    for (size_t i = 0; i < n; i++) {
-      packed[i] = 0;
-      indexed[i] = idx->GetWithHint(ops[i].key, hints[i], &packed[i]);
-    }
-  }
-
-  // Members encode back-to-back into one stack buffer with the commit
-  // record last, so the refs handed to StageBatch alias contiguous bytes
-  // laid out exactly as they will land in the log.
-  uint8_t chain[kMaxTxnOps * log::kMaxEntrySize + log::kPtrEntrySize];
-  uint64_t member_start[kMaxTxnOps];
-  uint32_t member_len[kMaxTxnOps];
-  uint64_t blocks[kMaxTxnOps];  // out-of-log value blocks (0 = none)
-  uint32_t versions[kMaxTxnOps];
-  uint32_t covered[kMaxTxnOps];
-  bool staged_member[kMaxTxnOps];
-  bool tombstone[kMaxTxnOps];
-  // Post-op logical state, for in-txn read-your-writes: value pointers
-  // alias the chain (inline) or the fresh value block (out-of-log).
-  bool present_after[kMaxTxnOps];
-  const uint8_t* val_after[kMaxTxnOps];
-  uint32_t len_after[kMaxTxnOps];
-  uint8_t rmw_out[log::kMaxInlineValue];
-
-  uint64_t chain_len = 0;
-  size_t members = 0;
-  bool fence_needed = false;
-
-  auto abort_blocks = [&](size_t upto) {
-    for (size_t i = 0; i < upto; i++) {
-      if (blocks[i] != 0) alloc_->Free(blocks[i]);
-    }
-  };
-
-  for (size_t i = 0; i < n; i++) {
-    const TxnOp& op = ops[i];
-    blocks[i] = 0;
-    staged_member[i] = false;
-    tombstone[i] = false;
-
-    // Resolve the key's pre-op state with in-txn visibility: the newest
-    // earlier op on this key wins, else the committed index entry.
-    bool present = false;
-    const uint8_t* cur = nullptr;
+    const uint8_t* cur = nullptr;  // the key's value before this op
     uint32_t cur_len = 0;
-    int last_same = -1;
-    for (size_t j = i; j-- > 0;) {
-      if (ops[j].key == op.key) {
-        last_same = static_cast<int>(j);
-        break;
-      }
+    bool chained = true;
+    uint32_t version;
+    if (prev < i) {
+      version = versions[prev] + 1;
+      cur = vals[prev];
+      cur_len = val_lens[prev];
+    } else if (const InflightKey* fly = cs.inflight_keys.Find(op.key)) {
+      FLATSTORE_DCHECK(txn == nullptr);  // BeginTxn checked its keys idle
+      version = fly->last_version + 1;
+    } else {
+      chained = false;
+      version = indexed[i] ? log::UnpackVersion(packed[i]) + 1 : 1;
     }
-    if (last_same >= 0) {
-      present = present_after[last_same];
-      cur = val_after[last_same];
-      cur_len = len_after[last_same];
-    } else if (indexed[i]) {
+    version &= log::kVersionMask;
+    // A delete chained behind a pending write always stages: its ack must
+    // not precede that write's persist. Otherwise the indexed entry says
+    // whether there is anything to delete (and, for a txn, the value).
+    bool live = chained;
+    if (!chained && indexed[i] && (op.tombstone || txn != nullptr)) {
       const uint64_t off = log::UnpackOffset(packed[i]);
       pool_->ChargeRead(pool_->At(off), log::kPtrEntrySize);
       log::DecodedEntry e;
@@ -1026,8 +731,8 @@ TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
           &e);
       FLATSTORE_CHECK(ok) << "index pointed at an invalid entry: key="
                           << op.key << " off=" << off;
-      if (e.op != log::OpType::kDelete) {
-        present = true;
+      live = e.op != log::OpType::kDelete;
+      if (live && txn != nullptr) {
         if (e.embedded) {
           cur = e.value;
           cur_len = e.value_len;
@@ -1042,78 +747,23 @@ TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
         }
       }
     }
-
-    // Version chaining: the newest earlier *member* on this key, else the
-    // indexed version (tombstones included — versions stay monotonic
-    // across delete + re-put), else a fresh chain.
-    uint32_t version = 1;
-    {
-      int last_member = -1;
-      for (size_t j = i; j-- > 0;) {
-        if (ops[j].key == op.key && staged_member[j]) {
-          last_member = static_cast<int>(j);
-          break;
-        }
-      }
-      if (last_member >= 0) {
-        version = (versions[last_member] + 1) & log::kVersionMask;
-      } else if (indexed[i]) {
-        version = (log::UnpackVersion(packed[i]) + 1) & log::kVersionMask;
-      }
+    if (txn != nullptr && !txn->Resolve(i, cur, cur_len, &op)) {
+      aborted = true;
+      break;
     }
-
-    // Resolve the op to a staged member (or skip / abort).
-    const void* new_val = nullptr;
-    uint32_t new_len = 0;
-    bool is_tomb = false;
-    switch (op.kind) {
-      case TxnOpKind::kPut:
-        new_val = op.value;
-        new_len = op.len;
-        break;
-      case TxnOpKind::kDelete:
-        if (!present) {
-          // Logical no-op: the key is already absent. Stage nothing, so
-          // the chain carries only effective ops.
-          present_after[i] = false;
-          val_after[i] = nullptr;
-          len_after[i] = 0;
-          continue;
-        }
-        is_tomb = true;
-        break;
-      case TxnOpKind::kCas: {
-        const bool match =
-            op.expected == nullptr
-                ? !present
-                : (present && cur_len == op.expected_len &&
-                   std::memcmp(cur, op.expected, cur_len) == 0);
-        if (!match) {
-          abort_blocks(i);
-          if (failed_op != nullptr) *failed_op = i;
-          return TxnStatus::kCasMismatch;
-        }
-        new_val = op.value;
-        new_len = op.len;
-        break;
-      }
-      case TxnOpKind::kRmw: {
-        const uint32_t out_len =
-            op.rmw(op.rmw_ctx, present ? cur : nullptr,
-                   present ? cur_len : 0, rmw_out, log::kMaxInlineValue);
-        FLATSTORE_CHECK(out_len >= 1 && out_len <= log::kMaxInlineValue)
-            << "RMW output must be 1.." << log::kMaxInlineValue << " bytes";
-        new_val = rmw_out;
-        new_len = out_len;
-        break;
-      }
+    if (op.tombstone && !live) {
+      statuses[i] = OpStatus::kNotFound;
+      continue;
     }
 
     uint8_t* dst = chain + chain_len;
     uint32_t elen;
     covered[i] = 0;
-    if (is_tomb) {
-      // Best-effort covered-chunk hint for tombstone GC (§3.4).
+    vals[i] = nullptr;
+    if (op.tombstone) {
+      // The tombstone remembers which chunk held the overwritten version
+      // so the cleaner knows when it may die (§3.4). With in-flight
+      // chained writes this is best effort (a GC heuristic).
       if (indexed[i]) {
         const uint64_t old_chunk =
             AlignDown(log::UnpackOffset(packed[i]), alloc::kChunkSize);
@@ -1121,108 +771,166 @@ TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
         root_->ChunkInfo(old_chunk, &owner, &covered[i]);
       }
       elen = log::EncodeDelete(dst, op.key, version, covered[i]);
-      tombstone[i] = true;
-      present_after[i] = false;
-      val_after[i] = nullptr;
-      len_after[i] = 0;
+    } else if (op.len <= log::kMaxInlineValue) {
+      FLATSTORE_DCHECK(op.len >= 1);
+      elen = log::EncodePutValue(dst, op.key, version, op.value, op.len);
+      vals[i] = dst + log::kValueEntryHeader;
     } else {
-      FLATSTORE_DCHECK(new_len >= 1);
-      if (new_len <= log::kMaxInlineValue) {
-        elen = log::EncodePutValue(dst, op.key, version, new_val, new_len);
-        val_after[i] = dst + log::kValueEntryHeader;
-      } else {
-        // l-persist, fence shared below (batched as in BeginWriteBatch).
-        const uint64_t block = alloc_->Alloc(core, new_len + 8);
-        if (block == 0) {
-          abort_blocks(i);
-          return TxnStatus::kNoSpace;
-        }
-        char* bdst = static_cast<char*>(pool_->At(block));
-        uint64_t len64 = new_len;
-        std::memcpy(bdst, &len64, 8);
-        std::memcpy(bdst + 8, new_val, new_len);
-        vt::Charge(vt::CostMemcpy(new_len));
-        // fs-lint: fence-guarded(drained by the one Fence below under the flag)
-        // Abort paths free the blocks; dead data needs no fence.
-        pool_->Persist(bdst, new_len + 8);
-        fence_needed = true;
-        blocks[i] = block;
-        elen = log::EncodePutPtr(dst, op.key, version, block);
-        val_after[i] = reinterpret_cast<const uint8_t*>(bdst) + 8;
+      // l-persist: store the record out of log as (v_len, value).
+      const uint64_t block = alloc_->Alloc(core, op.len + 8);
+      if (block == 0) {
+        statuses[i] = OpStatus::kNoSpace;
+        aborted = true;
+        break;
       }
-      present_after[i] = true;
-      len_after[i] = new_len;
+      char* bdst = static_cast<char*>(pool_->At(block));
+      uint64_t len64 = op.len;
+      std::memcpy(bdst, &len64, 8);
+      std::memcpy(bdst + 8, op.value, op.len);
+      vt::Charge(vt::CostMemcpy(op.len));
+      // fs-lint: fence-guarded(drained by the one Fence below under the flag)
+      // Abort paths free the blocks; dead data needs no fence.
+      pool_->Persist(bdst, op.len + 8);
+      fence_needed = true;
+      blocks[i] = block;
+      elen = log::EncodePutPtr(dst, op.key, version, block);
+      vals[i] = reinterpret_cast<const uint8_t*>(bdst) + 8;
     }
-    log::MarkTxnMember(dst);
-    member_start[i] = chain_len;
-    member_len[i] = elen;
+    val_lens[i] = op.tombstone ? 0 : op.len;
+    if (txn != nullptr) log::MarkTxnMember(dst);
     versions[i] = version;
-    staged_member[i] = true;
+    refs[staged] = {dst, elen};
+    slot_of[i] = staged++;
     chain_len += elen;
-    members++;
   }
   if (fence_needed) pool_->Fence();  // one drain for all l-persists
 
-  if (members == 0) return TxnStatus::kCommitted;  // every op was a no-op
-
-  // Commit record: member count, chain byte length, XXH64 over the chain
-  // bytes exactly as they will appear in the log.
-  const uint64_t checksum = Hash64(chain, chain_len);
-  uint8_t* commit = chain + chain_len;
-  const uint32_t commit_len = log::EncodeTxnCommit(
-      commit, static_cast<uint32_t>(members), chain_len, checksum);
-
-  // Stage as ONE fused group: the leader writes members + commit through
-  // a single AppendBatch, so the physical chain is contiguous and covered
-  // by one persist sweep and one fence pair — all-or-nothing on crash.
-  log::OpLog::EntryRef refs[kMaxTxnOps + 1];
-  uint64_t fused_handles[kMaxTxnOps + 1];
-  size_t slot = 0;
-  for (size_t i = 0; i < n; i++) {
-    if (!staged_member[i]) continue;
-    refs[slot] = {chain + member_start[i], member_len[i]};
-    slot++;
+  // Phase D: stage the group as ONE fused group — all-or-nothing, so an
+  // abort or a full pool stages nothing and frees the fresh blocks.
+  auto unstage = [&](OpStatus why) {
+    for (size_t i = 0; i < n; i++) {
+      if (blocks[i] != 0) alloc_->Free(blocks[i]);
+      if (statuses[i] == OpStatus::kOk) statuses[i] = why;
+    }
+    return size_t{0};
+  };
+  if (aborted) return unstage(OpStatus::kNoSpace);
+  if (staged == 0) return 0;  // every op was a delete of an absent key
+  const size_t group = staged + (txn != nullptr ? 1 : 0);
+  if (txn != nullptr) refs[staged] = txn->Seal(chain, chain_len, staged);
+  uint64_t fused_handles[kMaxWriteBatch + 1];
+  if (!hb_->StageBatch(core, refs, group, fused_handles)) {
+    return unstage(OpStatus::kBackpressure);
   }
-  refs[slot] = {commit, commit_len};
-  if (!hb_->StageBatch(core, refs, members + 1, fused_handles)) {
-    abort_blocks(n);
-    return TxnStatus::kBackpressure;
-  }
-
-  slot = 0;
   for (size_t i = 0; i < n; i++) {
-    if (!staged_member[i]) continue;
-    cs.Push({fused_handles[slot], ops[i].key, versions[i], tombstone[i],
-             covered[i], /*txn_member=*/true, /*txn_commit=*/false});
+    if (statuses[i] != OpStatus::kOk) continue;
+    const OpHandle h = fused_handles[slot_of[i]];
+    handles[i] = h;
+    cs.Push({h, ops[i].key, versions[i], ops[i].tombstone, covered[i],
+             /*txn_member=*/txn != nullptr});
     InflightKey& fly = cs.inflight_keys.GetOrInsert(ops[i].key);
     fly.count++;
     fly.last_version = versions[i];
-    slot++;
   }
-  cs.Push({fused_handles[members], /*key=*/0, /*version=*/0,
-           /*tombstone=*/false, /*covered_seq=*/0, /*txn_member=*/false,
-           /*txn_commit=*/true});
-  *commit_handle = fused_handles[members];
-  return TxnStatus::kCommitted;
+  if (txn != nullptr) {
+    txn->commit = fused_handles[staged];
+    cs.Push({txn->commit, /*key=*/0, /*version=*/0, /*tombstone=*/false,
+             /*covered_seq=*/0, /*txn_member=*/false, /*txn_commit=*/true});
+  }
+  return staged;
+}
+
+size_t FlatStore::BeginWriteBatch(int core, const WriteOp* ops, size_t n,
+                                  OpHandle* handles, OpStatus* statuses) {
+  return Admit(core, ops, n, /*txn=*/nullptr, handles, statuses);
+}
+
+void FlatStore::Settle(int core) {
+  while (Inflight(core) > 0) {
+    Pump(core);
+    Drain(core, SIZE_MAX, nullptr);
+  }
+}
+
+size_t FlatStore::MultiPutOnCore(int core, const WriteOp* ops, size_t n,
+                                 OpStatus* statuses) {
+  OpHandle handles[kMaxWriteBatch];
+  size_t staged;
+  // Fused staging is all-or-nothing: a full pool stages nothing, so
+  // drain it and retry. Anything else (all kNotFound / kNoSpace) will
+  // never stage.
+  while ((staged = BeginWriteBatch(core, ops, n, handles, statuses)) == 0 &&
+         std::find(statuses, statuses + n, OpStatus::kBackpressure) !=
+             statuses + n) {
+    Settle(core);
+  }
+  Settle(core);
+  return staged;
+}
+
+// ---- transactions (§5.3) -------------------------------------------------
+
+TxnStatus FlatStore::BeginTxn(int core, const TxnOp* ops, size_t n,
+                              OpHandle* commit_handle, size_t* failed_op) {
+  static_assert(kMaxTxnOps + 1 <= batch::HbEngine::kMaxBatch,
+                "a txn chain plus its commit record must fit one fused group");
+  static_assert(kMaxTxnOps <= log::kMaxTxnChain,
+                "readers must be able to buffer a whole chain");
+  static_assert(kMaxTxnOps <= kMaxWriteBatch,
+                "a txn is admitted as one write batch");
+  FLATSTORE_CHECK_LE(n, kMaxTxnOps);
+  *commit_handle = kNoOpHandle;
+  if (failed_op != nullptr) *failed_op = n;
+  CoreState& cs = *cores_[core];
+
+  // Conflict detection: §3.3's conflict queue widened to whole txns — any
+  // key with in-flight writes fails the txn up front, so the current-value
+  // reads (kCas compares, kRmw inputs) see stable committed state and the
+  // version chains cannot interleave with a concurrent drain.
+  WriteOp writes[kMaxTxnOps];
+  for (size_t i = 0; i < n; i++) {
+    FLATSTORE_DCHECK(core == CoreForKey(ops[i].key));
+    if (cs.inflight_keys.Contains(ops[i].key)) {
+      if (failed_op != nullptr) *failed_op = i;
+      return TxnStatus::kBusy;
+    }
+    // kCas/kRmw become puts once Resolve has checked or computed them.
+    writes[i] = {ops[i].key, ops[i].value, ops[i].len,
+                 ops[i].kind == TxnOpKind::kDelete};
+  }
+
+  TxnFront front(ops, n);
+  OpHandle handles[kMaxTxnOps];
+  OpStatus statuses[kMaxTxnOps];
+  if (Admit(core, writes, n, &front, handles, statuses) > 0) {
+    *commit_handle = front.commit;
+    return TxnStatus::kCommitted;
+  }
+  if (front.failed < n) {
+    if (failed_op != nullptr) *failed_op = front.failed;
+    return TxnStatus::kCasMismatch;
+  }
+  for (size_t i = 0; i < n; i++) {
+    if (statuses[i] == OpStatus::kBackpressure) {
+      return TxnStatus::kBackpressure;
+    }
+    if (statuses[i] == OpStatus::kNoSpace) return TxnStatus::kNoSpace;
+  }
+  return TxnStatus::kCommitted;  // every op was a no-op delete
 }
 
 TxnStatus FlatStore::CommitTxnOnCore(int core, const TxnOp* ops, size_t n,
                                      size_t* failed_op) {
   OpHandle commit_handle;
   TxnStatus st;
-  while (true) {
-    st = BeginTxn(core, ops, n, &commit_handle, failed_op);
-    if (st != TxnStatus::kBusy && st != TxnStatus::kBackpressure) break;
-    // Same-core in-flight ops belong to this thread's protocol: drain
-    // them and retry.
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
+  // Same-core in-flight ops belong to this thread's protocol: drain them
+  // and retry.
+  while ((st = BeginTxn(core, ops, n, &commit_handle, failed_op)) ==
+             TxnStatus::kBusy ||
+         st == TxnStatus::kBackpressure) {
+    Settle(core);
   }
-  if (st != TxnStatus::kCommitted) return st;
-  while (Inflight(core) > 0) {
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
+  Settle(core);
   return st;
 }
 
@@ -1271,7 +979,7 @@ FlatStore::Txn& FlatStore::Txn::Rmw(
 
 bool FlatStore::Txn::Get(uint64_t key, std::string* value) {
   std::string cur;
-  bool present = store_->GetOnCore(store_->CoreForKey(key), key, &cur);
+  bool present = store_->Get(key, &cur);
   for (const Staged& s : ops_) {
     if (s.key != key) continue;
     switch (s.kind) {
@@ -1348,43 +1056,27 @@ TxnStatus FlatStore::Txn::Commit(size_t* failed_op) {
 // ---- synchronous wrappers ------------------------------------------------
 
 void FlatStore::Put(uint64_t key, std::string_view value) {
-  const int core = CoreForKey(key);
-  OpHandle h;
-  while (true) {
-    OpStatus st =
-        BeginPut(core, key, value.data(),
-                 static_cast<uint32_t>(value.size()), &h);
-    if (st == OpStatus::kOk) break;
-    FLATSTORE_CHECK(st == OpStatus::kBusy || st == OpStatus::kBackpressure)
-        << "Put failed (PM exhausted?)";
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  while (Inflight(core) > 0) {
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
+  const WriteOp op{key, value.data(), static_cast<uint32_t>(value.size()),
+                   false};
+  OpStatus st;
+  MultiPutOnCore(CoreForKey(key), &op, 1, &st);
+  FLATSTORE_CHECK(st == OpStatus::kOk) << "Put failed (PM exhausted?)";
 }
 
 bool FlatStore::Get(uint64_t key, std::string* value) {
-  return GetOnCore(CoreForKey(key), key, value);
+  const int core = CoreForKey(key);
+  ReadResult r;
+  r.value.swap(*value);  // the read reuses the caller's buffer
+  // A deferred read waits for the write ahead of it (conflict queue).
+  while (MultiGetOnCore(core, &key, 1, &r) == 0) Settle(core);
+  r.value.swap(*value);
+  return r.status == GetResult::kFound;
 }
 
 bool FlatStore::Delete(uint64_t key) {
-  const int core = CoreForKey(key);
-  OpHandle h;
-  while (true) {
-    OpStatus st = BeginDelete(core, key, &h);
-    if (st == OpStatus::kNotFound) return false;
-    if (st == OpStatus::kOk) break;
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  while (Inflight(core) > 0) {
-    Pump(core);
-    Drain(core, SIZE_MAX, nullptr);
-  }
-  return true;
+  const WriteOp op{key, nullptr, 0, true};
+  OpStatus st;
+  return MultiPutOnCore(CoreForKey(key), &op, 1, &st) == 1;
 }
 
 uint64_t FlatStore::Scan(uint64_t start_key, uint64_t count,

@@ -11,22 +11,24 @@
 //
 //  * Synchronous convenience (Put/Get/Delete/Scan): runs the asynchronous
 //    protocol inline on the calling thread. Used by examples, tests, and
-//    single-threaded tools.
+//    single-threaded tools. Put/Delete are a write batch of one, Get is a
+//    MultiGet of one key.
 //
 //  * Asynchronous per-core protocol, used by the server runtime
 //    (core/server.h) to reproduce the paper's pipelined processing:
 //
-//      BeginPut/BeginDelete  -> l-persist + stage in the request pool
-//      Pump                  -> one g-persist attempt (leader election)
-//      Drain                 -> completed ops: volatile-index update,
-//                               old-entry retirement, conflict release
-//      GetOnCore             -> immediate read through the volatile index
+//      BeginWriteBatch/BeginTxn -> l-persist + stage in the request pool
+//                                  (one admission pipeline, any batch size)
+//      Pump                     -> one g-persist attempt (leader election)
+//      Drain                    -> completed ops: volatile-index update,
+//                                  old-entry retirement, conflict release
+//      MultiGetOnCore           -> immediate reads through the volatile index
 //
 //    Keys are partitioned across cores by key hash (CoreForKey). The
 //    per-core conflict queue (paper §3.3 Discussion) prevents pipelined-HB
 //    *reordering*: same-key writes pipeline freely (FIFO drains keep them
-//    ordered; versions chain through the in-flight table), but a Get on a
-//    key with in-flight writes must wait (KeyBusy) so it cannot miss a
+//    ordered; versions chain through the in-flight table), but a read of a
+//    key with in-flight writes is deferred (KeyBusy) so it cannot miss a
 //    preceding Put.
 
 #ifndef FLATSTORE_CORE_FLATSTORE_H_
@@ -258,12 +260,6 @@ class FlatStore {
 
   // ---- asynchronous per-core protocol ----
 
-  // l-persist + stage. `core` must equal CoreForKey(key). Same-key writes
-  // pipeline (never kBusy); drains apply them in order.
-  OpStatus BeginPut(int core, uint64_t key, const void* value, uint32_t len,
-                    OpHandle* handle);
-  // Stages a tombstone; kNotFound if the key is absent (nothing staged).
-  OpStatus BeginDelete(int core, uint64_t key, OpHandle* handle);
   // One g-persist attempt (leader election / self-batch). Returns the
   // number of entries persisted by this call.
   size_t Pump(int core);
@@ -276,8 +272,6 @@ class FlatStore {
   // True while a write on `key` is in flight on its core. Gets on busy
   // keys must be deferred (conflict queue, §3.3 Discussion).
   bool KeyBusy(int core, uint64_t key) const;
-  // Read on the owning core (immediate; volatile index + log/block read).
-  bool GetOnCore(int core, uint64_t key, std::string* value);
   // Batched read on the owning core: one epoch pin per batch, then a
   // prefetch-interleaved pipeline — phase A hashes/routes every key and
   // issues software prefetches (index::KvIndex::PrefetchGet), phase B
@@ -285,22 +279,24 @@ class FlatStore {
   // header reads back-to-back and consumes them in order, phase D does
   // the same for out-of-log value blocks. Independent misses are
   // amortized by min(n, vt::kMemParallelism). Keys with in-flight writes
-  // come back kDeferred (the same conflict rule GetOnCore's callers
-  // enforce via KeyBusy) and must be retried after a drain. Requires
-  // n <= kMaxReadBatch. Returns the number of keys served (i.e. with
-  // status != kDeferred).
+  // come back kDeferred (the conflict rule KeyBusy reports) and must be
+  // retried after a drain. This is the only read path: a single read is
+  // a batch of one. Requires n <= kMaxReadBatch. Returns the number of
+  // keys served (i.e. with status != kDeferred).
   size_t MultiGetOnCore(int core, const uint64_t* keys, size_t n,
                         ReadResult* results);
-  // Batched write admission on the owning core (the write-side analogue
-  // of MultiGetOnCore): phase A issues every version-resolution index
-  // probe with software prefetches (index::KvIndex::PrefetchGet), phase B
-  // completes them on warm lines under one overlap window, phase C
-  // encodes all entries and l-persists every out-of-log value with a
-  // SINGLE trailing fence, phase D stages the whole batch as ONE fused HB
-  // group (batch::HbEngine::StageBatch) so the leader persists it through
-  // one log reservation and one fence pair. Same-key writes chain
-  // versions within the batch (last write wins after all are applied) and
-  // behind any in-flight ops. Per-op `statuses[i]`: kOk (staged,
+  // Write admission on the owning core (the write-side analogue of
+  // MultiGetOnCore) for any batch size, one op included: phase A issues
+  // every version-resolution index probe with software prefetches
+  // (index::KvIndex::PrefetchGet), phase B completes them on warm lines
+  // under one overlap window, phase C encodes all entries and l-persists
+  // every out-of-log value with a SINGLE trailing fence, phase D stages
+  // the whole batch as ONE fused HB group (batch::HbEngine::StageBatch)
+  // so the leader persists it through one log reservation and one fence
+  // pair. Same-key writes chain versions within the batch (last write
+  // wins after all are applied) and behind any in-flight ops; a delete
+  // chained behind a pending write always stages (its ack must wait for
+  // that write to be durable). Per-op `statuses[i]`: kOk (staged,
   // `handles[i]` valid), kNotFound (tombstone for an absent key; not
   // staged), kBackpressure (pool lacked room for the whole group — fused
   // staging is all-or-nothing), or kNoSpace (PM exhausted; batch
@@ -309,7 +305,7 @@ class FlatStore {
                          OpHandle* handles, OpStatus* statuses);
   // Synchronous batched write: BeginWriteBatch + Pump/Drain to
   // completion, retrying on backpressure. Returns the number applied
-  // (ops with status kOk).
+  // (ops with status kOk). Put and Delete are this with n = 1.
   size_t MultiPutOnCore(int core, const WriteOp* ops, size_t n,
                         OpStatus* statuses);
 
@@ -318,23 +314,26 @@ class FlatStore {
   // Sentinel handle for a trivially committed (empty-effect) transaction.
   static constexpr OpHandle kNoOpHandle = UINT64_MAX;
 
-  // Stages `ops` as one atomic transaction: members encode back-to-back
-  // into a contiguous chain, a commit record (count, byte length, XXH64
-  // checksum) terminates it, and the whole group rides StageBatch's fused
-  // path — one reservation, one persist sweep, two fences. All keys must
-  // route to `core`; a key with in-flight writes fails the whole txn with
-  // kBusy (so kCas/kRmw read stable committed state). Ops resolve in
-  // order with read-your-writes inside the txn; kDelete of an absent key
-  // stages nothing (a no-op member). On kCommitted, `*commit_handle` is
-  // the commit record's handle — ONE Completion per txn surfaces through
-  // Drain, carrying it (members complete silently) — or kNoOpHandle when
-  // no member staged. Any failure stages nothing (`*failed_op` = the
-  // offending op for kBusy/kCasMismatch). Crash semantics: a torn commit
-  // recovers to "nothing happened"; a durable commit recovers every op.
+  // Stages `ops` as one atomic transaction through BeginWriteBatch's
+  // admission pipeline: members encode back-to-back into a contiguous
+  // chain, a commit record (count, byte length, XXH64 checksum)
+  // terminates it, and the whole group rides StageBatch's fused path —
+  // one reservation, one persist sweep, two fences. All keys must route
+  // to `core`; a key with in-flight writes fails the whole txn with kBusy
+  // (so kCas/kRmw read stable committed state). Ops resolve in order with
+  // read-your-writes inside the txn and follow the write-batch rules
+  // otherwise: kDelete of an absent key stages nothing (a no-op member),
+  // one chained behind an earlier member stages. On kCommitted,
+  // `*commit_handle` is the commit record's handle — ONE Completion per
+  // txn surfaces through Drain, carrying it (members complete silently)
+  // — or kNoOpHandle when no member staged. Any failure stages nothing
+  // (`*failed_op` = the offending op for kBusy/kCasMismatch). Crash
+  // semantics: a torn commit recovers to "nothing happened"; a durable
+  // commit recovers every op.
   TxnStatus BeginTxn(int core, const TxnOp* ops, size_t n,
                      OpHandle* commit_handle, size_t* failed_op = nullptr);
   // Synchronous wrapper: BeginTxn + Pump/Drain to completion, retrying
-  // kBusy/kBackpressure.
+  // kBusy/kBackpressure (the same drain loop as MultiPutOnCore).
   TxnStatus CommitTxnOnCore(int core, const TxnOp* ops, size_t n,
                             size_t* failed_op = nullptr);
 
@@ -521,8 +520,23 @@ class FlatStore {
   // epoch pin so the entry's chunk cannot be freed mid-decode).
   void RetireOld(uint64_t old_packed);
 
-  // Reads the value of a decoded entry into `*value`.
-  void ReadValue(const log::DecodedEntry& e, std::string* value) const;
+  // BeginTxn's part of an admission: evaluates kCas/kRmw and seals the
+  // chain with its commit record.
+  struct TxnFront;
+  // The one write-admission pipeline behind BeginWriteBatch and BeginTxn
+  // (DESIGN.md §5.2): prefetch-interleaved version probes; version
+  // chaining off an earlier op of the group, else the in-flight table,
+  // else the index; tombstone liveness and the covered-chunk hint;
+  // encoding into one contiguous chain; batched l-persist under one
+  // trailing fence; an all-or-nothing StageBatch; then the PendingOp and
+  // in-flight pushes. `txn` is null for a plain write batch. Requires
+  // n <= kMaxWriteBatch. Returns the number of ops staged (a txn's
+  // commit record not counted).
+  size_t Admit(int core, const WriteOp* ops, size_t n, TxnFront* txn,
+               OpHandle* handles, OpStatus* statuses);
+  // Pumps and drains `core` until nothing is in flight on it: the
+  // completion loop of every synchronous write.
+  void Settle(int core);
 
   // The batched read wave shared by MultiGetOnCore and every scan path
   // (DESIGN.md §11.4). The caller holds an epoch pin; n <= kMaxReadBatch.

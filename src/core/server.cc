@@ -16,39 +16,18 @@ namespace core {
 
 // ---- FlatStoreAdapter -----------------------------------------------------
 
-EngineAdapter::Submit FlatStoreAdapter::SubmitPut(int core, uint64_t key,
-                                                  const void* value,
-                                                  uint32_t len,
-                                                  uint64_t tag) {
-  FlatStore::OpHandle h;
-  switch (store_->BeginPut(core, key, value, len, &h)) {
-    case OpStatus::kOk:
-      pending_[core].Push({h, tag});
-      return Submit::kPending;
-    case OpStatus::kBusy:
-      return Submit::kBusy;
-    case OpStatus::kBackpressure:
-      return Submit::kBackpressure;
-    default:
-      FLATSTORE_CHECK(false) << "PM exhausted during benchmark";
-      return Submit::kBackpressure;
-  }
+EngineAdapter::Submit FlatStoreAdapter::SubmitOne(int core,
+                                                  const WriteReq& req) {
+  Submit st;
+  SubmitWriteBatch(core, &req, 1, &st);
+  return st;
 }
 
-EngineAdapter::Submit FlatStoreAdapter::SubmitDelete(int core, uint64_t key,
-                                                     uint64_t tag) {
-  FlatStore::OpHandle h;
-  switch (store_->BeginDelete(core, key, &h)) {
-    case OpStatus::kOk:
-      pending_[core].Push({h, tag});
-      return Submit::kPending;
-    case OpStatus::kNotFound:
-      return Submit::kNotFound;
-    case OpStatus::kBusy:
-      return Submit::kBusy;
-    default:
-      return Submit::kBackpressure;
-  }
+bool FlatStoreAdapter::Get(int core, uint64_t key, std::string* value) {
+  ReadResult r;
+  MultiGet(core, &key, 1, &r);
+  if (r.status == GetResult::kFound) value->swap(r.value);
+  return r.status == GetResult::kFound;
 }
 
 bool FlatStoreAdapter::Scan(int core, uint64_t start_key, uint64_t count,
@@ -149,23 +128,20 @@ struct CoreLoop {
     net::Request req;
   };
   std::deque<PendingWrite> pending;
-  // Read batch for the MultiGet path: Gets admitted this quantum plus
-  // deferred leftovers (keys whose writes were in flight) carried over.
-  struct ReadSlot {
+  // An admitted, not yet answered or staged request.
+  struct Slot {
     int conn;
     net::Request req;
   };
-  std::vector<ReadSlot> reads;
+  // Read batch for the MultiGet path: Gets admitted since the last
+  // submission plus deferred leftovers (keys whose writes were in flight).
+  std::vector<Slot> reads;
   std::vector<uint64_t> read_keys;       // scratch, sized kMaxReadBatch
   std::vector<ReadResult> read_results;  // scratch, sized kMaxReadBatch
-  // Write batch for the fused MultiPut path: Puts/Deletes admitted this
-  // quantum plus backpressured leftovers (fused staging is all-or-
-  // nothing) carried over.
-  struct WriteSlot {
-    int conn;
-    net::Request req;
-  };
-  std::vector<WriteSlot> writes;
+  // Write batch for the fused MultiPut path: Puts/Deletes admitted since
+  // the last submission plus backpressured leftovers (fused staging is
+  // all-or-nothing).
+  std::vector<Slot> writes;
   std::vector<EngineAdapter::WriteReq> write_reqs;     // scratch
   std::vector<EngineAdapter::Submit> write_status;     // scratch
   uint64_t next_tag = 1;
@@ -207,16 +183,7 @@ void RespondNow(net::FlatRpc& rpc, int core, int conn,
   resp.seq = req.seq;
   resp.value_len = 0;
   resp.status = net::MsgStatus::kOk;
-  if (req.type == net::MsgType::kGet) {
-    std::string value;
-    if (engine->Get(core, req.key, &value)) {
-      resp.value_len = static_cast<uint32_t>(
-          std::min<size_t>(value.size(), net::kMaxMsgValue));
-      std::memcpy(resp.value, value.data(), resp.value_len);
-    } else {
-      resp.status = net::MsgStatus::kNotFound;
-    }
-  } else if (req.type == net::MsgType::kScan) {
+  if (req.type == net::MsgType::kScan) {
     // Range read: the request's value_len carries the scan length; the
     // response carries only the hit count (the per-item read work is
     // charged on this core's clock inside Scan).
@@ -231,23 +198,111 @@ void RespondNow(net::FlatRpc& rpc, int core, int conn,
   rpc.PostResponse(core, conn, &resp, not_before, chained);
 }
 
+// Submits a core's batches: stages the accumulated writes as ONE fused
+// batch, then serves the accumulated reads in one prefetch-interleaved
+// MultiGet. Writes go first, so a Put→Get pair on one key admitted
+// together defers the Get through the in-flight table. Backpressured
+// writes (fused staging is all-or-nothing) and deferred reads (a write
+// in flight on the key) stay in their batches and retry on a later call,
+// after a pump/drain cycle; they never livelock because persist steps
+// always make progress on staged writes. Returns true if any request was
+// answered or staged.
+bool SubmitBatches(EngineAdapter* engine, net::FlatRpc& rpc, int core,
+                   CoreLoop& state) {
+  bool progress = false;
+  if (!state.writes.empty()) {
+    const size_t n = state.writes.size();
+    for (size_t i = 0; i < n; i++) {
+      const net::Request& r = state.writes[i].req;
+      state.write_reqs[i] = {r.key, r.value, r.value_len,
+                             r.type == net::MsgType::kDelete,
+                             state.next_tag++};
+    }
+    engine->SubmitWriteBatch(core, state.write_reqs.data(), n,
+                             state.write_status.data());
+    size_t kept = 0;
+    for (size_t i = 0; i < n; i++) {
+      switch (state.write_status[i]) {
+        case EngineAdapter::Submit::kPending:
+          state.pending.push_back({state.write_reqs[i].tag,
+                                   state.writes[i].conn,
+                                   state.writes[i].req});
+          progress = true;
+          break;
+        case EngineAdapter::Submit::kDoneNow:
+        case EngineAdapter::Submit::kNotFound:
+          RespondNow(rpc, core, state.writes[i].conn, state.writes[i].req,
+                     engine);
+          state.completed++;
+          progress = true;
+          break;
+        default:  // kBusy / kBackpressure: carry to the next call
+          state.writes[kept++] = state.writes[i];
+          break;
+      }
+    }
+    state.writes.resize(kept);
+  }
+
+  if (!state.reads.empty()) {
+    const size_t n = state.reads.size();
+    for (size_t i = 0; i < n; i++) {
+      state.read_keys[i] = state.reads[i].req.key;
+    }
+    engine->MultiGet(core, state.read_keys.data(), n,
+                     state.read_results.data());
+    size_t kept = 0;
+    for (size_t i = 0; i < n; i++) {
+      // A carried-over (backpressured, not yet staged) write on this key
+      // is invisible to the engine's in-flight table; defer the read so
+      // it cannot overtake that write.
+      if (state.read_results[i].status != GetResult::kDeferred &&
+          !state.writes.empty()) {
+        for (const auto& w : state.writes) {
+          if (w.req.key == state.reads[i].req.key) {
+            state.read_results[i].status = GetResult::kDeferred;
+            break;
+          }
+        }
+      }
+      if (state.read_results[i].status == GetResult::kDeferred) {
+        state.reads[kept++] = state.reads[i];
+        continue;
+      }
+      PostReadResponse(rpc, core, state.reads[i].conn, state.reads[i].req,
+                       state.read_results[i]);
+      state.completed++;
+      progress = true;
+    }
+    state.reads.resize(kept);
+  }
+  return progress;
+}
+
 // Phase 1 of a server core's scheduling quantum: poll a burst of
 // requests, run their l-persist, stage their log entries. All cores run
 // phase 1 before any runs phase 2 (persist), mirroring the real system
 // where cores poll concurrently — otherwise a leader would never find
-// sibling entries to steal. Returns true if any work happened.
+// sibling entries to steal. Gets and Puts/Deletes collect into the
+// core's read and write batches; a batch is submitted (SubmitBatches)
+// as soon as it holds `read_batch`/`write_batch` requests and again at
+// the end of the burst, so batch size 1 submits each op as it is
+// admitted. Returns true if any work happened.
 //
 // Quanta are dispatched round-robin from a single host thread so the
 // interleaving -- and therefore every virtual-time result -- is
 // deterministic for a given seed (host scheduling must not leak into the
 // model; the concurrent deployment is exercised by the test suite).
 bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
-                  CoreLoop& state, int read_batch, int write_batch,
+                  CoreLoop& state, size_t read_batch, size_t write_batch,
                   bool respect_arrival, uint64_t arrival_horizon) {
   vt::ScopedClock bind(&state.clock);
   bool progress = false;
-  const bool batched = read_batch > 1;
-  const bool wbatched = write_batch > 1;
+  auto full = [&] {
+    return state.reads.size() >= read_batch ||
+           state.writes.size() >= write_batch;
+  };
+  bool submitted = false;  // nothing admitted since the last submission
 
   // Poll and admit a bounded burst (user-level polling, per-core
   // processing -- paper 3.1).
@@ -270,36 +325,18 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       const uint64_t arr = rpc.ArrivalTime(*req);
       if (arr > state.clock.now() && arr > arrival_horizon) break;
     }
-    if (batched && req->type == net::MsgType::kGet &&
-        state.reads.size() >= static_cast<size_t>(read_batch)) {
-      // Batch full: the Get stays at its ring head for the next quantum.
-      break;
-    }
-    if (wbatched && req->type != net::MsgType::kGet &&
-        state.writes.size() >= static_cast<size_t>(write_batch)) {
-      // Write batch full: the op stays at its ring head likewise.
+    const bool is_read = req->type == net::MsgType::kGet;
+    const bool is_write = req->type == net::MsgType::kPut ||
+                          req->type == net::MsgType::kDelete;
+    if ((is_read && state.reads.size() >= read_batch) ||
+        (is_write && state.writes.size() >= write_batch)) {
+      // A batch left full by its last submission (deferred reads or
+      // backpressured writes carried over): the request stays at its
+      // ring head for the next quantum.
       break;
     }
     state.clock.AdvanceTo(rpc.ArrivalTime(*req));
     vt::Charge(vt::kRpcProcessCost);
-
-    if (req->type == net::MsgType::kGet) {
-      if (batched) {
-        // Admit into this quantum's read batch; the conflict check runs
-        // inside MultiGet (busy keys come back kDeferred and are carried
-        // to the next quantum instead of head-of-line-blocking the ring).
-        state.reads.push_back({conn, *req});
-        rpc.PopRequest(core, conn);
-        progress = true;
-        continue;
-      }
-      if (engine->KeyBusy(core, req->key)) continue;  // conflict queue
-      RespondNow(rpc, core, conn, *req, engine);
-      rpc.PopRequest(core, conn);
-      state.completed++;
-      progress = true;
-      continue;
-    }
 
     if (req->type == net::MsgType::kScan) {
       // Scans are served inline and never batched: each is its own
@@ -366,8 +403,9 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
         case EngineAdapter::Submit::kBusy:
           // A txn key has in-flight writes: the request stays at its
           // ring's head and retries after a future drain, while the core
-          // keeps serving the other connections (same rule as single
-          // writes below).
+          // keeps serving the other connections — one hot key must not
+          // head-of-line-block the whole core under skew (paper 3.3
+          // Discussion).
           break;
         case EngineAdapter::Submit::kBackpressure:
           burst = 16;  // pool full: stop admitting until a pump/drain
@@ -376,130 +414,25 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       continue;
     }
 
-    if (wbatched) {
-      // Admit into this quantum's fused write batch, submitted below.
-      state.writes.push_back({conn, *req});
-      rpc.PopRequest(core, conn);
-      progress = true;
-      continue;
-    }
-
-    const uint64_t tag = state.next_tag++;
-    EngineAdapter::Submit st;
-    if (req->type == net::MsgType::kPut) {
-      st = engine->SubmitPut(core, req->key, req->value, req->value_len,
-                             tag);
+    // Admit into this quantum's read or write batch. The conflict check
+    // runs inside MultiGet: busy keys come back kDeferred and stay in the
+    // batch instead of head-of-line-blocking the ring.
+    if (is_read) {
+      state.reads.push_back({conn, *req});
     } else {
-      st = engine->SubmitDelete(core, req->key, tag);
+      state.writes.push_back({conn, *req});
     }
-    switch (st) {
-      case EngineAdapter::Submit::kPending:
-        state.pending.push_back({tag, conn, *req});
-        rpc.PopRequest(core, conn);
-        progress = true;
-        break;
-      case EngineAdapter::Submit::kDoneNow:
-      case EngineAdapter::Submit::kNotFound:
-        RespondNow(rpc, core, conn, *req, engine);
-        rpc.PopRequest(core, conn);
-        state.completed++;
-        progress = true;
-        break;
-      case EngineAdapter::Submit::kBusy:
-        // Conflict queue: this request stays at its ring's head and is
-        // retried after a future drain (paper 3.3 Discussion) — but the
-        // core keeps serving the *other* connections' buffers, otherwise
-        // one hot key would head-of-line-block the whole core under skew.
-        break;
-      case EngineAdapter::Submit::kBackpressure:
-        // Request pool full: stop admitting until a pump/drain cycle.
-        burst = 16;
-        break;
-      case EngineAdapter::Submit::kCasMismatch:
-      case EngineAdapter::Submit::kUnsupported:
-        // Txn-only statuses; single Put/Delete never produces them.
-        FLATSTORE_DCHECK(false);
-        break;
+    rpc.PopRequest(core, conn);
+    progress = true;
+    submitted = false;
+    if (full()) {
+      SubmitBatches(engine, rpc, core, state);
+      submitted = true;
+      if (full()) break;  // still full: wait for a pump/drain cycle
     }
   }
 
-  // Stage the accumulated writes as ONE fused batch before any read is
-  // served: a same-quantum Put→Get pair on one key then defers the Get
-  // through the in-flight table, preserving the legacy path's ordering.
-  // Backpressured ops (fused staging is all-or-nothing) stay in `writes`
-  // and retry next quantum, after a pump/drain cycle freed pool slots.
-  if (wbatched && !state.writes.empty()) {
-    const size_t n = state.writes.size();
-    for (size_t i = 0; i < n; i++) {
-      const net::Request& r = state.writes[i].req;
-      state.write_reqs[i] = {r.key, r.value, r.value_len,
-                             r.type == net::MsgType::kDelete,
-                             state.next_tag++};
-    }
-    engine->SubmitWriteBatch(core, state.write_reqs.data(), n,
-                             state.write_status.data());
-    size_t kept = 0;
-    for (size_t i = 0; i < n; i++) {
-      switch (state.write_status[i]) {
-        case EngineAdapter::Submit::kPending:
-          state.pending.push_back({state.write_reqs[i].tag,
-                                   state.writes[i].conn,
-                                   state.writes[i].req});
-          progress = true;
-          break;
-        case EngineAdapter::Submit::kDoneNow:
-        case EngineAdapter::Submit::kNotFound:
-          RespondNow(rpc, core, state.writes[i].conn, state.writes[i].req,
-                     engine);
-          state.completed++;
-          progress = true;
-          break;
-        default:  // kBusy / kBackpressure: carry to the next quantum
-          state.writes[kept++] = state.writes[i];
-          break;
-      }
-    }
-    state.writes.resize(kept);
-  }
-
-  // Serve the accumulated read batch in one prefetch-interleaved pass.
-  // Deferred keys (write in flight) stay in `reads` and retry next
-  // quantum, after the persist step has had a chance to drain the
-  // blocking write; they never livelock because persist steps always
-  // make progress on staged writes.
-  if (batched && !state.reads.empty()) {
-    const size_t n = state.reads.size();
-    for (size_t i = 0; i < n; i++) {
-      state.read_keys[i] = state.reads[i].req.key;
-    }
-    engine->MultiGet(core, state.read_keys.data(), n,
-                     state.read_results.data());
-    size_t kept = 0;
-    for (size_t i = 0; i < n; i++) {
-      // A carried-over (backpressured, not yet staged) write on this key
-      // is invisible to the engine's in-flight table; defer the read so
-      // it cannot overtake that write.
-      if (state.read_results[i].status != GetResult::kDeferred &&
-          !state.writes.empty()) {
-        for (const auto& w : state.writes) {
-          if (w.req.key == state.reads[i].req.key) {
-            state.read_results[i].status = GetResult::kDeferred;
-            break;
-          }
-        }
-      }
-      if (state.read_results[i].status == GetResult::kDeferred) {
-        state.reads[kept++] = state.reads[i];
-        continue;
-      }
-      PostReadResponse(rpc, core, state.reads[i].conn, state.reads[i].req,
-                       state.read_results[i]);
-      state.completed++;
-      progress = true;
-    }
-    state.reads.resize(kept);
-  }
-
+  if (!submitted && SubmitBatches(engine, rpc, core, state)) progress = true;
   return progress;
 }
 
@@ -507,24 +440,22 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
 // phase (index updates in Drain) + responses.
 bool CorePersistStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
                      CoreLoop& state,
-                     std::vector<EngineAdapter::Done>& done_scratch,
-                     bool coalesce_responses) {
+                     std::vector<EngineAdapter::Done>& done_scratch) {
   vt::ScopedClock bind(&state.clock);
   bool progress = false;
   if (engine->Pump(core) > 0) progress = true;
 
   done_scratch.clear();
   if (engine->Drain(core, &done_scratch) > 0) {
-    // Under the batched write path the drain's responses go out as one
-    // doorbell chain: the first verb pays the MMIO/handoff, the rest ride
-    // it (net::FlatRpc::PostResponse `chained`).
+    // The drain's responses go out as one doorbell chain: the first verb
+    // pays the MMIO/handoff, the rest ride it (net::FlatRpc::PostResponse
+    // `chained`).
     bool chain_open = false;
     for (const auto& d : done_scratch) {
       FLATSTORE_CHECK(!state.pending.empty());
       const CoreLoop::PendingWrite& w = state.pending.front();
       FLATSTORE_CHECK_EQ(w.tag, d.tag);  // drains complete in submit order
-      RespondNow(rpc, core, w.conn, w.req, engine, d.done_time,
-                 coalesce_responses && chain_open);
+      RespondNow(rpc, core, w.conn, w.req, engine, d.done_time, chain_open);
       chain_open = true;
       state.pending.pop_front();
       state.completed++;
@@ -741,11 +672,10 @@ std::vector<Conn> MakeConns(const ServerConfig& config) {
 // sequence the pre-cluster loop did.
 void RunLoop(std::vector<ShardRt>& shards, const net::ShardRouter* router,
              std::vector<Conn>& conns, const ServerConfig& config) {
-  const int read_batch =
-      std::min(config.read_batch, static_cast<int>(kMaxReadBatch));
-  const int write_batch =
-      std::min(config.write_batch, static_cast<int>(kMaxWriteBatch));
-  const bool coalesce = write_batch > 1;
+  const size_t read_batch = static_cast<size_t>(
+      std::clamp(config.read_batch, 1, static_cast<int>(kMaxReadBatch)));
+  const size_t write_batch = static_cast<size_t>(
+      std::clamp(config.write_batch, 1, static_cast<int>(kMaxWriteBatch)));
   std::vector<EngineAdapter::Done> done_scratch;
   uint8_t value[net::kMaxMsgValue];
   std::memset(value, 0x5A, sizeof(value));
@@ -793,7 +723,7 @@ void RunLoop(std::vector<ShardRt>& shards, const net::ShardRouter* router,
         for (ShardRt& sh : shards) {
           for (int c = 0; c < sh.engine->num_cores(); c++) {
             if (CorePersistStep(sh.engine, *sh.rpc, c, sh.cores[c],
-                                done_scratch, coalesce)) {
+                                done_scratch)) {
               persist_progress = true;
               round_progress = true;
             }
@@ -822,7 +752,7 @@ void RunLoop(std::vector<ShardRt>& shards, const net::ShardRouter* router,
           progress = true;
         }
         if (CorePersistStep(sh.engine, *sh.rpc, c, sh.cores[c],
-                            done_scratch, coalesce)) {
+                            done_scratch)) {
           progress = true;
         }
       }

@@ -178,12 +178,15 @@ class FlatStoreAdapter final : public EngineAdapter {
   const char* Name() const override {
     return IndexKindName(store_->options().index);
   }
+  // Single ops are batches of one.
   Submit SubmitPut(int core, uint64_t key, const void* value, uint32_t len,
-                   uint64_t tag) override;
-  Submit SubmitDelete(int core, uint64_t key, uint64_t tag) override;
-  bool Get(int core, uint64_t key, std::string* value) override {
-    return store_->GetOnCore(core, key, value);
+                   uint64_t tag) override {
+    return SubmitOne(core, {key, value, len, false, tag});
   }
+  Submit SubmitDelete(int core, uint64_t key, uint64_t tag) override {
+    return SubmitOne(core, {key, nullptr, 0, true, tag});
+  }
+  bool Get(int core, uint64_t key, std::string* value) override;
   bool Scan(int core, uint64_t start_key, uint64_t count,
             uint64_t* found) override;
   size_t MultiGet(int core, const uint64_t* keys, size_t n,
@@ -201,6 +204,8 @@ class FlatStoreAdapter final : public EngineAdapter {
   size_t Drain(int core, std::vector<Done>* done) override;
 
  private:
+  Submit SubmitOne(int core, const WriteReq& req);
+
   struct PendingTag {
     FlatStore::OpHandle handle;
     uint64_t tag;
@@ -274,15 +279,16 @@ struct ServerConfig {
   int client_threads = 2;     // host threads driving the connections
   int client_window = 8;      // async requests in flight per connection
   uint64_t ops_per_conn = 10000;
-  // Gets polled by a core in one quantum are served as a single MultiGet
-  // batch of (up to) this size; <= 1 selects the legacy per-request read
-  // path. Clamped to kMaxReadBatch.
+  // Gets polled by a core collect into one MultiGet batch, served as
+  // soon as it holds this many keys and at the end of the core's polling
+  // burst; 1 serves each Get as it is admitted. Clamped to
+  // [1, kMaxReadBatch] (0 means 1).
   int read_batch = 16;
-  // Puts/Deletes polled by a core in one quantum are admitted as one
-  // fused write batch of (up to) this size (EngineAdapter::
-  // SubmitWriteBatch) and their responses are posted as one doorbell
-  // chain; <= 1 selects the legacy per-request write path. Clamped to
-  // kMaxWriteBatch.
+  // Puts/Deletes polled by a core collect into one fused write batch
+  // (EngineAdapter::SubmitWriteBatch), staged as soon as it holds this
+  // many ops and at the end of the burst; 1 stages each op as it is
+  // admitted. Either way a drain's responses go out as one doorbell
+  // chain. Clamped to [1, kMaxWriteBatch] (0 means 1).
   int write_batch = 16;
   // When > 0, every txn_every-th write a connection issues goes out as a
   // kTxn request instead: an atomic batch of txn_size puts on same-core

@@ -27,6 +27,17 @@ std::string ValueFor(uint64_t key, size_t len) {
   return v;
 }
 
+// Stages one write through the async protocol: a write batch of one.
+OpStatus BeginOne(FlatStore* store, int core, uint64_t key,
+                  std::string_view value, FlatStore::OpHandle* handle,
+                  bool tombstone = false) {
+  const WriteOp op{key, value.data(), static_cast<uint32_t>(value.size()),
+                   tombstone};
+  OpStatus st;
+  store->BeginWriteBatch(core, &op, 1, handle, &st);
+  return st;
+}
+
 class FlatStoreTest : public ::testing::TestWithParam<IndexKind> {
  protected:
   FlatStoreTest() {
@@ -135,23 +146,24 @@ TEST_P(FlatStoreTest, ConflictQueueOrdersSameKeyWrites) {
   FlatStore::OpHandle h1, h2, h3;
   // Same-key writes pipeline (versions chain); Gets must observe KeyBusy
   // until the chain drains — that is the paper's reordering protection.
-  ASSERT_EQ(store_->BeginPut(core, key, "aa", 2, &h1), OpStatus::kOk);
-  ASSERT_EQ(store_->BeginPut(core, key, "bb", 2, &h2), OpStatus::kOk);
-  ASSERT_EQ(store_->BeginPut(core, key, "cc", 2, &h3), OpStatus::kOk);
+  ASSERT_EQ(BeginOne(store_.get(), core, key, "aa", &h1), OpStatus::kOk);
+  ASSERT_EQ(BeginOne(store_.get(), core, key, "bb", &h2), OpStatus::kOk);
+  ASSERT_EQ(BeginOne(store_.get(), core, key, "cc", &h3), OpStatus::kOk);
   EXPECT_TRUE(store_->KeyBusy(core, key));
   store_->Pump(core);
   EXPECT_EQ(store_->Drain(core, SIZE_MAX, nullptr), 3u);
   EXPECT_FALSE(store_->KeyBusy(core, key));
   // FIFO drains applied the chain in order: the last write wins.
   std::string v;
-  ASSERT_TRUE(store_->GetOnCore(core, key, &v));
+  ASSERT_TRUE(store_->Get(key, &v));
   EXPECT_EQ(v, "cc");
   // Delete chained behind a put, then re-put: still coherent.
-  ASSERT_EQ(store_->BeginPut(core, key, "dd", 2, &h1), OpStatus::kOk);
-  ASSERT_EQ(store_->BeginDelete(core, key, &h2), OpStatus::kOk);
+  ASSERT_EQ(BeginOne(store_.get(), core, key, "dd", &h1), OpStatus::kOk);
+  ASSERT_EQ(BeginOne(store_.get(), core, key, {}, &h2, /*tombstone=*/true),
+            OpStatus::kOk);
   store_->Pump(core);
   store_->Drain(core, SIZE_MAX, nullptr);
-  EXPECT_FALSE(store_->GetOnCore(core, key, &v));
+  EXPECT_FALSE(store_->Get(key, &v));
 }
 
 TEST_P(FlatStoreTest, AsyncProtocolMultiThreaded) {
@@ -172,8 +184,7 @@ TEST_P(FlatStoreTest, AsyncProtocolMultiThreaded) {
           } while (store_->CoreForKey(key) != c);
           std::string v = ValueFor(key, 16);
           FlatStore::OpHandle h;
-          OpStatus st = store_->BeginPut(c, key, v.data(),
-                                         static_cast<uint32_t>(v.size()), &h);
+          OpStatus st = BeginOne(store_.get(), c, key, v, &h);
           if (st != OpStatus::kOk) break;
           issued++;
         }
@@ -250,9 +261,7 @@ TEST(FlatStoreFlushes, HorizontalBatchCostsNPlus2ForLargeValues) {
     for (int i = 0; i < 4; i++) {
       while (store->CoreForKey(key) != c) key++;
       FlatStore::OpHandle h;
-      ASSERT_EQ(store->BeginPut(c, key, val.data(),
-                                static_cast<uint32_t>(val.size()), &h),
-                OpStatus::kOk);
+      ASSERT_EQ(BeginOne(store.get(), c, key, val, &h), OpStatus::kOk);
       key++;
     }
   }

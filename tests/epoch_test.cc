@@ -256,10 +256,11 @@ TEST(EpochReclamation, ServingThreadsRaceBackgroundCleaners) {
         const uint64_t k = mine[i];
         const std::string v =
             ValueFor(k, static_cast<uint64_t>(round), kValueLen);
+        const WriteOp op{k, v.data(), static_cast<uint32_t>(v.size()),
+                         false};
         FlatStore::OpHandle h;
-        while (store->BeginPut(core, k, v.data(),
-                               static_cast<uint32_t>(v.size()),
-                               &h) != OpStatus::kOk) {
+        OpStatus st;
+        while (store->BeginWriteBatch(core, &op, 1, &h, &st) == 0) {
           store->Pump(core);
           store->Drain(core, SIZE_MAX, nullptr);
         }
@@ -268,9 +269,10 @@ TEST(EpochReclamation, ServingThreadsRaceBackgroundCleaners) {
           // value carries the key in its first 8 bytes and kValueLen size.
           const uint64_t rk = mine[(i * 31 + 7) % mine.size()];
           if (!store->KeyBusy(core, rk)) {
-            std::string rv;
-            if (!store->GetOnCore(core, rk, &rv) ||
-                rv.size() != kValueLen ||
+            ReadResult r;
+            store->MultiGetOnCore(core, &rk, 1, &r);
+            const std::string& rv = r.value;
+            if (r.status != GetResult::kFound || rv.size() != kValueLen ||
                 std::memcmp(rv.data(), &rk, 8) != 0) {
               read_errors.fetch_add(1, std::memory_order_relaxed);
             }

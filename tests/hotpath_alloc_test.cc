@@ -1,9 +1,10 @@
 // Steady-state allocation test for the serving hot paths.
 //
-// The asynchronous protocol (BeginPut -> Pump -> Drain -> GetOnCore) must
-// not touch the heap once warm: the HB engine batches through fixed
-// per-core scratch arrays, the pending-op queue is a fixed ring, and the
-// in-flight key table is a pre-sized open-addressed table. This binary
+// The asynchronous protocol (write batch of one -> Pump -> Drain ->
+// MultiGet of one key) must not touch the heap once warm: the HB engine
+// batches through fixed per-core scratch arrays, the pending-op queue is
+// a fixed ring, and the in-flight key table is a pre-sized open-addressed
+// table. This binary
 // overrides the global allocation functions to count every heap call and
 // asserts the steady-state delta is zero.
 //
@@ -65,21 +66,25 @@ TEST(HotPathAlloc, PutGetDrainCycleIsAllocationFree) {
 
   std::vector<FlatStore::Completion> done;
   done.reserve(2 * batch::HbEngine::kPoolSlots);
-  std::string read_value;
-  read_value.reserve(512);
+  ReadResult read;
+  read.value.reserve(512);
 
   auto cycle = [&] {
     for (uint64_t k = 0; k < kKeys; k++) {
+      const WriteOp op{k, value, kValueLen, false};
       FlatStore::OpHandle h;
-      ASSERT_EQ(store->BeginPut(0, k, value, kValueLen, &h), OpStatus::kOk);
+      OpStatus st;
+      store->BeginWriteBatch(0, &op, 1, &h, &st);
+      ASSERT_EQ(st, OpStatus::kOk);
     }
     store->Pump(0);
     done.clear();
     store->Drain(0, SIZE_MAX, &done);
     ASSERT_EQ(done.size(), kKeys);
     for (uint64_t k = 0; k < kKeys; k++) {
-      ASSERT_TRUE(store->GetOnCore(0, k, &read_value));
-      ASSERT_EQ(read_value.size(), kValueLen);
+      store->MultiGetOnCore(0, &k, 1, &read);
+      ASSERT_EQ(read.status, GetResult::kFound);
+      ASSERT_EQ(read.value.size(), kValueLen);
     }
   };
 

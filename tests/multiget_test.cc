@@ -4,12 +4,14 @@
 //    every index, including absent keys, a default (invalid) hint —
 //    which takes the base-class fallback — and a hint made stale by
 //    splits/resizes between the two phases.
-//  * Engine: MultiGetOnCore must match GetOnCore key-for-key across all
-//    three index kinds (mixed inline/out-of-log values, absent keys,
-//    tombstones), defer keys with in-flight writes, and serve them after
-//    the drain with the post-drain value (linearizability).
-//  * Server: the batched read path must complete the identical workload
-//    as the legacy per-request path (read_batch=1).
+//  * Engine: MultiGetOnCore must match single reads (Get, a MultiGet of
+//    one key) key-for-key across all three index kinds (mixed
+//    inline/out-of-log values, absent keys, tombstones), defer keys with
+//    in-flight writes, and serve them after the drain with the
+//    post-drain value (linearizability).
+//  * Server: batches of 16 must complete the identical workload as
+//    batches of one (read_batch=1, each Get served as it is admitted —
+//    the same pipeline, submitted per request).
 
 #include <gtest/gtest.h>
 
@@ -170,7 +172,7 @@ TEST_P(MultiGetTest, MatchesSingleGetsWithAbsentAndTombstones) {
     EXPECT_EQ(served, keys.size()) << "nothing in flight: no deferrals";
     for (size_t i = 0; i < keys.size(); i++) {
       std::string single;
-      const bool found = s.store->GetOnCore(core, keys[i], &single);
+      const bool found = s.store->Get(keys[i], &single);
       if (found) {
         ASSERT_EQ(results[i].status, GetResult::kFound) << "key " << keys[i];
         EXPECT_EQ(results[i].value, single) << "key " << keys[i];
@@ -188,8 +190,10 @@ TEST_P(MultiGetTest, InFlightWritesDeferThenServePostDrainValue) {
   s.store->Put(3, "three");
 
   // Stage (l-persist) a write on key 1 without draining it.
+  const core::WriteOp put{1, "new-one", 7, false};
   FlatStore::OpHandle h;
-  ASSERT_EQ(s.store->BeginPut(0, 1, "new-one", 7, &h), core::OpStatus::kOk);
+  core::OpStatus st;
+  ASSERT_EQ(s.store->BeginWriteBatch(0, &put, 1, &h, &st), 1u);
   ASSERT_TRUE(s.store->KeyBusy(0, 1));
 
   uint64_t keys[3] = {1, 2, 3};
@@ -238,7 +242,10 @@ INSTANTIATE_TEST_SUITE_P(
       return "Unknown";
     });
 
-// ---- server-level: batched vs legacy read path -----------------------------
+// ---- server-level: batches of 16 vs batches of one -------------------------
+
+// read_batch=1 runs the same MultiGet pipeline as read_batch=16; it only
+// serves each Get as it is admitted instead of once per burst.
 
 TEST(MultiGetServer, BatchedPathCompletesSameWorkloadAsLegacy) {
   core::ServerResult results[2];

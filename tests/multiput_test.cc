@@ -8,17 +8,21 @@
 //    the equivalent sequence of single Put/Delete calls (overwrites,
 //    deletes-in-batch, duplicate keys resolving last-write-wins), stage
 //    the whole batch as one fused HB group, and spend strictly fewer
-//    fences than the per-op path.
-//  * Server: the fused write path (write_batch=16, doorbell-chained
-//    responses) must complete the identical workload as the legacy
-//    per-request path (write_batch=1).
+//    fences than the per-op path. Batches of one, write batches and txns
+//    must agree key-for-key on index version and value, before and
+//    after a crash (one admission pipeline).
+//  * Server: fused batches of 16 must complete the identical workload as
+//    batches of one (write_batch=1, each op staged as it is admitted —
+//    the same pipeline, submitted per request).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "core/server.h"
 #include "index/cceh.h"
 #include "index/fast_fair.h"
@@ -325,6 +329,142 @@ TEST_P(MultiPutTest, FusedBatchSpendsFewerFencesThanSingles) {
   EXPECT_LE(batch_fences, 2u + 1u);
 }
 
+// One seeded op sequence through the three admission routes — batches of
+// one, write batches of 8, txns of 8 — must leave identical stores: the
+// same index version (log::UnpackVersion) and value for every key, live
+// and after a crash + recovery. The routes share one version/encode path,
+// so any divergence is a bug in it.
+TEST_P(MultiPutTest, AdmissionRoutesAgreeOnVersionsAndValues) {
+  constexpr size_t kGroup = 8;
+  constexpr size_t kOps = 480;  // 60 groups
+  constexpr uint64_t kKeys = 24;  // small: groups repeat keys
+  constexpr uint64_t kAbsent = 1000;  // never written: delete targets
+
+  // The sequence: puts (inline and out-of-log) and deletes over a small
+  // key space, plus deletes of never-written keys. A second delete of a
+  // key already deleted earlier in the same group is left out: grouped,
+  // it stages a redundant tombstone (its ack must wait until the first
+  // delete is durable); one by one, it finds the key absent.
+  Rng rng(0xAD317);
+  std::vector<std::string> vals;
+  vals.reserve(kOps);
+  std::vector<WriteOp> ops;
+  struct Coverage {
+    int inline_puts = 0, block_puts = 0, overwrites = 0, deletes = 0,
+        absent_deletes = 0, reputs = 0, group_dups = 0;
+  } cov;
+  std::vector<int> state(kKeys, 0);  // 0 never written, 1 live, 2 deleted
+  std::vector<char> last_in_group(kKeys, 0);
+  for (size_t i = 0; i < kOps; i++) {
+    if (i % kGroup == 0) {
+      std::fill(last_in_group.begin(), last_in_group.end(), 0);
+    }
+    if (rng.Uniform(12) == 0) {
+      ops.push_back({kAbsent + rng.Uniform(4), nullptr, 0, true});
+      cov.absent_deletes++;
+      continue;
+    }
+    const uint64_t k = rng.Uniform(kKeys);
+    if (last_in_group[k] != 0) cov.group_dups++;
+    if (rng.Uniform(4) == 0 && last_in_group[k] != 'D') {
+      ops.push_back({k, nullptr, 0, true});
+      if (state[k] == 1) cov.deletes++;
+      if (state[k] != 1) cov.absent_deletes++;
+      state[k] = state[k] == 0 ? 0 : 2;
+      last_in_group[k] = 'D';
+      continue;
+    }
+    const bool block = rng.Uniform(3) == 0;
+    const size_t len =
+        block ? 300 + rng.Uniform(1200) : 1 + rng.Uniform(256);
+    vals.push_back(std::string(len, static_cast<char>('a' + i % 26)));
+    ops.push_back({k, vals.back().data(), static_cast<uint32_t>(len), false});
+    (block ? cov.block_puts : cov.inline_puts)++;
+    if (state[k] == 1) cov.overwrites++;
+    if (state[k] == 2) cov.reputs++;
+    state[k] = 1;
+    last_in_group[k] = 'P';
+  }
+  ASSERT_GT(cov.inline_puts, 0);
+  ASSERT_GT(cov.block_puts, 0);
+  ASSERT_GT(cov.overwrites, 0);
+  ASSERT_GT(cov.deletes, 0);
+  ASSERT_GT(cov.absent_deletes, 0);
+  ASSERT_GT(cov.reputs, 0);
+  ASSERT_GT(cov.group_dups, 0);
+
+  struct Route {
+    std::unique_ptr<pm::PmPool> pool;
+    std::unique_ptr<FlatStore> store;
+  };
+  core::FlatStoreOptions fo;
+  fo.num_cores = 1;
+  fo.group_size = 1;
+  fo.index = GetParam();
+  fo.hash_initial_depth = 4;
+  Route routes[3];
+  for (Route& r : routes) {
+    pm::PmPool::Options o;
+    o.size = 256ull << 20;
+    o.crash_tracking = true;
+    r.pool = std::make_unique<pm::PmPool>(o);
+    r.store = FlatStore::Create(r.pool.get(), fo);
+  }
+
+  // Route 0: batches of one. Route 1: write batches of 8. Route 2: txns
+  // of 8 (put/delete only).
+  OpStatus statuses[kGroup];
+  for (size_t i = 0; i < kOps; i++) {
+    routes[0].store->MultiPutOnCore(0, &ops[i], 1, statuses);
+  }
+  for (size_t i = 0; i < kOps; i += kGroup) {
+    routes[1].store->MultiPutOnCore(0, &ops[i], kGroup, statuses);
+    core::TxnOp txn[kGroup];
+    for (size_t j = 0; j < kGroup; j++) {
+      const WriteOp& w = ops[i + j];
+      txn[j].kind = w.tombstone ? core::TxnOpKind::kDelete
+                                : core::TxnOpKind::kPut;
+      txn[j].key = w.key;
+      txn[j].value = w.value;
+      txn[j].len = w.len;
+    }
+    ASSERT_EQ(routes[2].store->CommitTxnOnCore(0, txn, kGroup),
+              core::TxnStatus::kCommitted);
+  }
+
+  std::vector<uint64_t> keys;
+  for (uint64_t k = 0; k < kKeys; k++) keys.push_back(k);
+  for (uint64_t k = kAbsent; k < kAbsent + 4; k++) keys.push_back(k);
+  auto expect_same = [&](const char* when) {
+    for (const uint64_t k : keys) {
+      uint64_t packed[3] = {};
+      bool indexed[3];
+      std::string value[3];
+      bool found[3];
+      for (int r = 0; r < 3; r++) {
+        indexed[r] = routes[r].store->IndexForCore(0)->Get(k, &packed[r]);
+        found[r] = routes[r].store->Get(k, &value[r]);
+      }
+      for (int r = 1; r < 3; r++) {
+        SCOPED_TRACE(testing::Message()
+                     << when << " key " << k << " route " << r);
+        ASSERT_EQ(indexed[r], indexed[0]);
+        EXPECT_EQ(log::UnpackVersion(packed[r]),
+                  log::UnpackVersion(packed[0]));
+        ASSERT_EQ(found[r], found[0]);
+        EXPECT_EQ(value[r], value[0]);
+      }
+    }
+  };
+  expect_same("live");
+  for (Route& r : routes) {
+    r.store.reset();  // no Shutdown: Open must replay the log
+    r.pool->SimulateCrash();
+    r.store = FlatStore::Open(r.pool.get(), fo);
+  }
+  expect_same("recovered");
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllKinds, MultiPutTest,
     ::testing::Values(core::IndexKind::kHash, core::IndexKind::kMasstree,
@@ -338,7 +478,10 @@ INSTANTIATE_TEST_SUITE_P(
       return "Unknown";
     });
 
-// ---- server-level: fused write path vs legacy ------------------------------
+// ---- server-level: batches of 16 vs batches of one -------------------------
+
+// write_batch=1 runs the same admission pipeline as write_batch=16; it
+// only submits each op as it is admitted instead of once per burst.
 
 TEST(MultiPutServer, BatchedPathCompletesSameWorkloadAsLegacy) {
   core::ServerResult results[2];

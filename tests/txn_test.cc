@@ -253,10 +253,11 @@ TEST(Txn, InflightKeyFailsWholeTxnWithBusy) {
   auto pool = MakePool();
   auto store = FlatStore::Create(pool.get(), Opts());
   const std::string v = V(1);
+  const WriteOp put{9, v.data(), static_cast<uint32_t>(v.size()), false};
   FlatStore::OpHandle h;
-  ASSERT_EQ(store->BeginPut(0, 9, v.data(),
-                            static_cast<uint32_t>(v.size()), &h),
-            OpStatus::kOk);  // staged, not drained: key 9 is in flight
+  OpStatus st;
+  ASSERT_EQ(store->BeginWriteBatch(0, &put, 1, &h, &st), 1u);
+  ASSERT_EQ(st, OpStatus::kOk);  // staged, not drained: key 9 is in flight
 
   TxnOp ops[2];
   ops[0].kind = TxnOpKind::kPut;
@@ -271,7 +272,7 @@ TEST(Txn, InflightKeyFailsWholeTxnWithBusy) {
   size_t failed = 99;
   EXPECT_EQ(store->BeginTxn(0, ops, 2, &commit, &failed), TxnStatus::kBusy);
   EXPECT_EQ(failed, 1u);
-  EXPECT_EQ(store->Inflight(0), 1u);  // only the BeginPut
+  EXPECT_EQ(store->Inflight(0), 1u);  // only the put
 
   store->Pump(0);
   store->Drain(0, SIZE_MAX, nullptr);
@@ -290,9 +291,10 @@ TEST(Txn, BackpressureAbortsWholeTxn) {
   // Fill the request pool without pumping.
   uint64_t k = 1000;
   while (true) {
+    const WriteOp put{k, v.data(), static_cast<uint32_t>(v.size()), false};
     FlatStore::OpHandle h;
-    const OpStatus st =
-        store->BeginPut(0, k, v.data(), static_cast<uint32_t>(v.size()), &h);
+    OpStatus st;
+    store->BeginWriteBatch(0, &put, 1, &h, &st);
     if (st == OpStatus::kBackpressure) break;
     ASSERT_EQ(st, OpStatus::kOk);
     k++;
