@@ -6,7 +6,7 @@
 // allocated and freed a node on the hot path. This table stores entries
 // inline in one flat array, and backward-shift deletion (instead of
 // tombstones) means the load factor never degrades — so a table
-// Reserve()d for its worst-case population performs ZERO heap
+// constructed for its worst-case population performs ZERO heap
 // allocations in steady state, no matter how many insert/erase cycles
 // run through it.
 //
@@ -41,12 +41,6 @@ class OpenTable {
   size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
   size_t capacity() const { return cap_; }
-
-  // Grows so that `n` entries fit without further allocation (25-75 %
-  // peak load). No-op if already large enough.
-  void Reserve(size_t n) {
-    if (n * 2 > cap_) Rebuild(n * 2);
-  }
 
   // Pointer to the value of `key`, or nullptr.
   FS_HOT V* Find(uint64_t key) {

@@ -58,6 +58,9 @@ void DuelInsert(index::KvIndex* idx, uint64_t key, uint64_t packed) {
   }
 }
 
+// Per-core conversion cap of one RunTieringOnce pass.
+constexpr size_t kTierMaxChunks = 4;
+
 uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -65,33 +68,7 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
           .count());
 }
 
-// Checkpoint chunk layout (after the allocator header):
-//   uint64 next_chunk_off; uint64 count; {key, packed} pairs...
-struct CheckpointHeader {
-  uint64_t next;
-  uint64_t count;
-};
-constexpr uint64_t kCheckpointPairs =
-    (alloc::kChunkSize - alloc::kChunkHeaderSize - sizeof(CheckpointHeader)) /
-    16;
-
 }  // namespace
-
-const char* TxnStatusName(TxnStatus status) {
-  switch (status) {
-    case TxnStatus::kCommitted:
-      return "committed";
-    case TxnStatus::kCasMismatch:
-      return "cas-mismatch";
-    case TxnStatus::kBusy:
-      return "busy";
-    case TxnStatus::kBackpressure:
-      return "backpressure";
-    case TxnStatus::kNoSpace:
-      return "no-space";
-  }
-  return "?";
-}
 
 const char* IndexKindName(IndexKind kind) {
   switch (kind) {
@@ -367,7 +344,7 @@ size_t FlatStore::Drain(int core, size_t max, std::vector<Completion>* out) {
               hints[r]);
         }
       };
-      if (TierActive()) {
+      if (DeltaActive()) {
         // The round's entries land in un-tiered chunks. Their keys join
         // the delta set BEFORE the index publishes them, and the lock
         // stays held across the publish so the tiering pass's exact
@@ -1082,36 +1059,39 @@ bool FlatStore::Delete(uint64_t key) {
 uint64_t FlatStore::Scan(uint64_t start_key, uint64_t count,
                          std::vector<std::pair<uint64_t, std::string>>* out) {
   auto* ordered = dynamic_cast<index::OrderedKvIndex*>(indexes_[0].get());
-  if (ordered == nullptr) {
-    FLATSTORE_CHECK(TierActive())
-        << "Scan on FlatStore-H requires the persistent tier "
-           "(FlatStoreOptions::tier_enabled)";
-    return ScanMerged(start_key, count, out);
-  }
-  // Scanned entries may live in any group's logs; a single guest pin
-  // holds reclamation off store-wide for the scan's duration.
+  FLATSTORE_CHECK(ordered != nullptr || TierActive())
+      << "Scan on FlatStore-H requires the persistent tier "
+         "(FlatStoreOptions::tier_enabled)";
+  // A single guest pin holds reclamation off store-wide for the scan's
+  // duration (entries may live in any group's logs). Tier nodes need no
+  // pin, and neither do the tiered entries their words name: arena and
+  // tiered chunks are never freed.
   common::EpochManager::GuestGuard guard(epochs_.get());
   vt::Charge(vt::kEpochPinCost);
   uint64_t produced = 0;
   uint64_t cursor = start_key;
   std::vector<index::KvPair> pairs;
   std::vector<uint64_t> keys, packed;
-  while (produced < count) {
-    // Exactly the rows still owed; a tombstone costs another window.
+  bool more = true;
+  while (more && produced < count) {
+    // Exactly the rows still owed; a tombstone or a key the index no
+    // longer holds costs another window, not a standing over-read.
     const uint64_t want = count - produced;
-    pairs.clear();
-    const uint64_t got = ordered->Scan(cursor, want, &pairs);
     keys.clear();
     packed.clear();
-    keys.reserve(pairs.size());
-    packed.reserve(pairs.size());
-    for (const auto& p : pairs) {
-      keys.push_back(p.key);
-      packed.push_back(p.value);
+    if (ordered != nullptr) {
+      pairs.clear();
+      const uint64_t got = ordered->Scan(cursor, want, &pairs);
+      for (const auto& p : pairs) {
+        keys.push_back(p.key);
+        packed.push_back(p.value);
+      }
+      more = got == want && pairs.back().key != UINT64_MAX;
+      if (more) cursor = pairs.back().key + 1;
+    } else {
+      more = ScanMerged(want, &cursor, &keys, &packed);
     }
     produced += AppendRows(keys.data(), packed.data(), keys.size(), want, out);
-    if (got < want || pairs.back().key == UINT64_MAX) break;
-    cursor = pairs.back().key + 1;
   }
   return produced;
 }
@@ -1149,86 +1129,67 @@ uint64_t FlatStore::ScanFullIteration(
   return AppendRows(keys.data(), packed.data(), keys.size(), count, out);
 }
 
-// Hash-index scan (DESIGN.md §11.4): keys come in order from a windowed
+// Hash-index scan window (DESIGN.md §11.4): keys come in order from a
 // merge of the per-core delta sets and the tier's L0 list. A key only the
 // tier proposes is served from its node's `packed` word with no index
 // probe; a delta key resolves through the index. That is exact under the
 // tier/delta invariant (CoreState::delta), given that each window
 // snapshots the delta sets before it gathers from the tier.
-uint64_t FlatStore::ScanMerged(
-    uint64_t start_key, uint64_t count,
-    std::vector<std::pair<uint64_t, std::string>>* out) {
-  // A single guest pin holds reclamation off store-wide for the scan's
-  // duration (entries may live in any group's logs). Tier nodes need no
-  // pin, and neither do the tiered entries their words name: arena and
-  // tiered chunks are never freed.
-  common::EpochManager::GuestGuard guard(epochs_.get());
-  vt::Charge(vt::kEpochPinCost);
-  uint64_t produced = 0;
-  uint64_t cursor = start_key;
-  std::vector<uint64_t> delta, tiered, tiered_packed, keys, packed;
-  while (produced < count) {
-    // Exactly the rows still owed; a tombstone or a key the index no
-    // longer holds costs another window, not a standing over-read.
-    const uint64_t want = count - produced;
-    // Window bound: a source that filled its quota may still hold keys
-    // below another source's last emitted key, so only keys up to the
-    // smallest truncated source's last key are completely merged.
-    uint64_t bound = UINT64_MAX;
-    bool truncated = false;
-    // Delta snapshot first: a tiering pass that erases a key after this
-    // point has already published the key's newer word in its node, so
-    // the Gather below reads that word.
-    delta.clear();
-    for (auto& csp : cores_) {
-      LockGuard<SpinLock> dg(csp->delta_lock);
-      auto it = csp->delta.lower_bound(cursor);
-      uint64_t taken = 0;
-      uint64_t last = 0;
-      while (it != csp->delta.end() && taken < want) {
-        last = *it;
-        delta.push_back(last);
-        taken++;
-        ++it;
-      }
-      if (taken == want && it != csp->delta.end()) {
-        truncated = true;
-        bound = std::min(bound, last);
-      }
+bool FlatStore::ScanMerged(uint64_t want, uint64_t* cursor,
+                           std::vector<uint64_t>* keys,
+                           std::vector<uint64_t>* packed) {
+  // Window bound: a source that filled its quota may still hold keys
+  // below another source's last emitted key, so only keys up to the
+  // smallest truncated source's last key are completely merged.
+  uint64_t bound = UINT64_MAX;
+  bool truncated = false;
+  // Delta snapshot first: a tiering pass that erases a key after this
+  // point has already published the key's newer word in its node, so the
+  // Gather below reads that word.
+  std::vector<uint64_t> delta, tiered, tiered_packed;
+  for (auto& csp : cores_) {
+    LockGuard<SpinLock> dg(csp->delta_lock);
+    auto it = csp->delta.lower_bound(*cursor);
+    uint64_t taken = 0;
+    uint64_t last = 0;
+    while (it != csp->delta.end() && taken < want) {
+      last = *it;
+      delta.push_back(last);
+      taken++;
+      ++it;
     }
-    std::sort(delta.begin(), delta.end());
-    tiered.clear();
-    tiered_packed.clear();
-    if (tier_->Gather(cursor, want, &tiered, 0, nullptr, &tiered_packed) ==
-        want) {
+    if (taken == want && it != csp->delta.end()) {
       truncated = true;
-      bound = std::min(bound, tiered.back());
+      bound = std::min(bound, last);
     }
-    // Merge the two sorted sources up to the bound; a key in both is a
-    // delta key.
-    keys.clear();
-    packed.clear();
-    size_t d = 0, t = 0;
-    while (d < delta.size() || t < tiered.size()) {
-      const bool take_delta =
-          t == tiered.size() || (d < delta.size() && delta[d] <= tiered[t]);
-      const uint64_t key = take_delta ? delta[d] : tiered[t];
-      if (key > bound) break;
-      keys.push_back(key);
-      if (take_delta) {
-        packed.push_back(kResolveThroughIndex);
-        if (t < tiered.size() && tiered[t] == key) t++;
-        d++;
-      } else {
-        packed.push_back(tiered_packed[t]);
-        t++;
-      }
-    }
-    produced += AppendRows(keys.data(), packed.data(), keys.size(), want, out);
-    if (!truncated || bound == UINT64_MAX) break;  // sources exhausted
-    cursor = bound + 1;
   }
-  return produced;
+  std::sort(delta.begin(), delta.end());
+  if (tier_->Gather(*cursor, want, &tiered, 0, nullptr, &tiered_packed) ==
+      want) {
+    truncated = true;
+    bound = std::min(bound, tiered.back());
+  }
+  // Merge the two sorted sources up to the bound; a key in both is a
+  // delta key.
+  size_t d = 0, t = 0;
+  while (d < delta.size() || t < tiered.size()) {
+    const bool take_delta =
+        t == tiered.size() || (d < delta.size() && delta[d] <= tiered[t]);
+    const uint64_t key = take_delta ? delta[d] : tiered[t];
+    if (key > bound) break;
+    keys->push_back(key);
+    if (take_delta) {
+      packed->push_back(kResolveThroughIndex);
+      if (t < tiered.size() && tiered[t] == key) t++;
+      d++;
+    } else {
+      packed->push_back(tiered_packed[t]);
+      t++;
+    }
+  }
+  if (!truncated || bound == UINT64_MAX) return false;  // sources exhausted
+  *cursor = bound + 1;
+  return true;
 }
 
 uint64_t FlatStore::Size() const {
@@ -1282,7 +1243,6 @@ void FlatStore::EnsureCleaners() {
   log::LogCleaner::Options opts;
   opts.policy = options_.gc_policy;
   opts.live_ratio = options_.gc_live_ratio;
-  opts.free_chunk_watermark = options_.gc_free_chunk_watermark;
   opts.quantum_bytes = options_.gc_quantum_bytes;
   opts.max_victims = options_.gc_max_victims;
   opts.segregate = options_.gc_segregate;
@@ -1361,9 +1321,8 @@ size_t FlatStore::RunTieringOnce() {
   size_t converted = 0;
   for (int c = 0; c < options_.num_cores; c++) {
     const std::vector<log::OpLog::TierCandidate> cands =
-        logs_[c]->PickTierCandidates(options_.tier_age,
-                                     options_.tier_min_live_ratio,
-                                     options_.tier_max_chunks);
+        logs_[c]->PickTierCandidates(options_.tier_min_live_ratio,
+                                     kTierMaxChunks);
     for (size_t i = 0; i < cands.size(); i++) {
       if (ConvertChunk(c, cands[i])) {
         converted++;
@@ -1433,6 +1392,8 @@ bool FlatStore::ConvertChunk(int core,
                         sizeof(sb->tier_frontier_seq[core]));
   }
   logs_[core]->DetachForTier(cand.chunk_off);
+  chunks_tiered_++;
+  if (!DeltaActive()) return true;
   // The batch's keys are now tier-discoverable. Drop a key from its
   // delta set only if, under the set's lock, the index still holds the
   // word just tiered: a write drained since keeps the key (Drain adds
@@ -1447,12 +1408,11 @@ bool FlatStore::ConvertChunk(int core,
       cs.delta.erase(te.key);
     }
   }
-  chunks_tiered_++;
   return true;
 }
 
 std::optional<uint64_t> FlatStore::DebugCheckTierDelta() {
-  if (!TierActive()) return std::nullopt;
+  if (!DeltaActive()) return std::nullopt;
   // Snapshots first, so no lock is held while another is taken.
   std::unordered_set<uint64_t> delta;
   for (auto& csp : cores_) {
@@ -1533,18 +1493,18 @@ void FlatStore::WriteCheckpoint() {
   while (i < pairs.size()) {
     uint64_t chunk = alloc_->AllocRawChunk(0);
     FLATSTORE_CHECK_NE(chunk, 0u) << "no space for index checkpoint";
-    auto* hdr = pool_->PtrAt<CheckpointHeader>(chunk +
-                                               alloc::kChunkHeaderSize);
+    auto* hdr =
+        pool_->PtrAt<log::CheckpointHeader>(chunk + alloc::kChunkHeaderSize);
     hdr->next = 0;
     auto* data = reinterpret_cast<uint64_t*>(hdr + 1);
-    uint64_t n = std::min<uint64_t>(kCheckpointPairs, pairs.size() - i);
+    uint64_t n = std::min<uint64_t>(log::kCheckpointPairs, pairs.size() - i);
     for (uint64_t j = 0; j < n; j++) {
       data[2 * j] = pairs[i + j].first;
       data[2 * j + 1] = pairs[i + j].second;
     }
     hdr->count = n;
     i += n;
-    pool_->Persist(hdr, sizeof(CheckpointHeader) + n * 16);
+    pool_->Persist(hdr, sizeof(log::CheckpointHeader) + n * 16);
     // Link from the previous chunk (or the superblock). One fence below
     // covers payload and link together rather than fencing the payload
     // first: the chain stays dead until CheckpointNow fences
@@ -1566,8 +1526,8 @@ void FlatStore::LoadCheckpoint() {
   uint64_t chunk = sb->checkpoint_off;
   uint64_t loaded = 0;
   while (chunk != 0) {
-    auto* hdr = pool_->PtrAt<CheckpointHeader>(chunk +
-                                               alloc::kChunkHeaderSize);
+    auto* hdr =
+        pool_->PtrAt<log::CheckpointHeader>(chunk + alloc::kChunkHeaderSize);
     const auto* data = reinterpret_cast<const uint64_t*>(hdr + 1);
     for (uint64_t j = 0; j < hdr->count; j++) {
       const uint64_t key = data[2 * j];
@@ -1816,7 +1776,7 @@ void FlatStore::Recover(bool rebuild_index) {
         if (live) {
           u.live++;
           u.live_bytes += e.entry_len;
-          if (TierActive()) {
+          if (DeltaActive()) {
             // Rebuild the delta set: this key's current entry is in an
             // un-tiered chunk, so ScanMerged must learn it from here.
             CoreState& dcs = *cores_[CoreForKey(e.key)];

@@ -79,7 +79,6 @@ struct FlatStoreOptions {
   // Log cleaning (§3.4). See log::LogCleaner::Options for semantics.
   log::VictimQuery::Policy gc_policy = log::VictimQuery::Policy::kCostBenefit;
   double gc_live_ratio = 0.6;
-  uint64_t gc_free_chunk_watermark = 0;  // 0 = clean whenever possible
   uint64_t gc_quantum_bytes = 0;         // 0 = unbounded passes
   size_t gc_max_victims = 4;             // in-flight cleaning jobs per core
   bool gc_segregate = true;              // hot/cold survivor lanes
@@ -110,13 +109,9 @@ struct FlatStoreOptions {
   // no tier on the pool, RunTieringOnce converts nothing: the tier is
   // born only in Create/Open, where every key is already tracked.
   bool tier_enabled = false;
-  // Minimum write-clock age before a sealed chunk may tier (0 = any).
-  uint64_t tier_age = 0;
   // Chunks with a live-entry ratio below this are better freed by the
   // cleaner than leaked into the tier (tiered chunks are never freed).
   double tier_min_live_ratio = 0.25;
-  // Per-core conversion cap per RunTieringOnce pass.
-  size_t tier_max_chunks = 4;
 };
 
 // Result of Begin* calls.
@@ -201,8 +196,6 @@ enum class TxnStatus : uint8_t {
   kBackpressure,  // request pool lacked room for the group — retry
   kNoSpace,       // PM exhausted — nothing staged
 };
-
-const char* TxnStatusName(TxnStatus status);
 
 // The engine.
 class FlatStore {
@@ -360,7 +353,7 @@ class FlatStore {
   // ---- ordered persistent tier (DESIGN.md §11) ----
 
   // One synchronous tiering pass: per core, converts up to
-  // tier_max_chunks eligible sealed chunks (cold cleaner chunks first)
+  // kTierMaxChunks eligible sealed chunks (cold cleaner chunks first)
   // into the persistent skiplist and detaches them from the log. Returns
   // the number of chunks converted — 0 on a store without the tier
   // (FlatStoreOptions::tier_enabled). Serialized internally; safe to
@@ -433,17 +426,25 @@ class FlatStore {
   bool ConvertChunk(int core, const log::OpLog::TierCandidate& cand);
   // One representative core per pool socket (tier arena placement).
   std::vector<int> SocketCores() const;
-  // Delta sets (and the hash-scan merge path) are maintained whenever a
-  // tier exists, and during an Open about to create one (its replay
-  // fills the sets).
+  // True whenever a tier exists, and during an Open about to create one.
   bool TierActive() const {
     return options_.tier_enabled || tier_ != nullptr;
   }
-  // Scan served by a k-way merge of the tier's L0 list and the per-core
-  // delta sets (keys whose current entry is still un-tiered) — the path
-  // for FlatStore-H, whose hash index cannot enumerate keys in order.
-  uint64_t ScanMerged(uint64_t start_key, uint64_t count,
-                      std::vector<std::pair<uint64_t, std::string>>* out);
+  // Delta sets are kept only where a scan reads them: on FlatStore-H
+  // while TierActive() (an Open's replay fills them). Ordered indexes
+  // scan without them.
+  bool DeltaActive() const {
+    return options_.index == IndexKind::kHash && TierActive();
+  }
+  // Scan's window source for FlatStore-H, whose hash index cannot
+  // enumerate keys in order: a merge of the tier's L0 list and the
+  // per-core delta sets (keys whose current entry is still un-tiered),
+  // at most `want` keys from `*cursor` on. Appends the window's keys and
+  // their entry words (kResolveThroughIndex for delta keys) and moves
+  // `*cursor` past the window; returns false once both sources are
+  // exhausted.
+  bool ScanMerged(uint64_t want, uint64_t* cursor, std::vector<uint64_t>* keys,
+                  std::vector<uint64_t>* packed);
   // Crash-recovery replay / usage rebuild (also used after clean open to
   // rebuild allocator bitmaps + chunk usage). `rebuild_index` is false
   // when the checkpoint already provided the index.
@@ -475,9 +476,9 @@ class FlatStore {
 
   // Per-core serving state. All containers are allocation-free in steady
   // state: `pending` is a fixed FIFO ring (its population is bounded by
-  // the HB request pool, which backpressures Stage before overflow) and
-  // `inflight_keys` is an open-addressed table pre-sized for that same
-  // bound.
+  // the HB request pool, which backpressures StageBatch before overflow)
+  // and `inflight_keys` is an open-addressed table pre-sized for that
+  // same bound.
   struct alignas(64) CoreState {
     CoreState()
         : pending(new PendingOp[batch::HbEngine::kPoolSlots]),
@@ -489,7 +490,7 @@ class FlatStore {
     common::OpenTable<InflightKey> inflight_keys;
 
     // Tier delta set (DESIGN.md §11.4): keys this core owns that the
-    // tier cannot serve. Only maintained while TierActive(). Invariant:
+    // tier cannot serve. Only maintained while DeltaActive(). Invariant:
     // for every key k of this core NOT in the set, index[k] equals the
     // `packed` of k's tier node, or k has no index entry and its tier
     // node names a tombstone. ScanMerged relies on it to serve keys only

@@ -16,12 +16,6 @@ namespace core {
 
 namespace {
 
-// Mirrors the private checkpoint layout in flatstore.cc.
-struct CheckpointHeader {
-  uint64_t next;
-  uint64_t count;
-};
-
 struct Checker {
   const pm::PmPool& pool;
   FsckReport report;
@@ -453,7 +447,7 @@ FsckReport FsckPool(const pm::PmPool& pool) {
         c.Fatal("checkpoint chain broken at " + std::to_string(chunk));
         break;
       }
-      const auto* hdr = mutable_pool->PtrAt<CheckpointHeader>(
+      const auto* hdr = mutable_pool->PtrAt<log::CheckpointHeader>(
           chunk + alloc::kChunkHeaderSize);
       items += hdr->count;
       chunk = hdr->next;

@@ -121,11 +121,13 @@ struct CoreLoop {
   vt::Clock clock;
   // In-flight writes in submission order. Tags are assigned sequentially
   // and the engine drains FIFO, so completions always match the front —
-  // a deque replaces the old per-op hash-map insert/erase.
+  // a deque replaces the old per-op hash-map insert/erase. A drain's
+  // response needs only the request's type and seq (scans never pend).
   struct PendingWrite {
     uint64_t tag;
     int conn;
-    net::Request req;
+    net::MsgType type;
+    uint64_t seq;
   };
   std::deque<PendingWrite> pending;
   // An admitted, not yet answered or staged request.
@@ -176,8 +178,7 @@ void PostReadResponse(net::FlatRpc& rpc, int core, int conn,
 }
 
 void RespondNow(net::FlatRpc& rpc, int core, int conn,
-                const net::Request& req, EngineAdapter* engine,
-                uint64_t not_before = 0, bool chained = false) {
+                const net::Request& req, EngineAdapter* engine) {
   net::Response resp;
   resp.type = req.type;
   resp.seq = req.seq;
@@ -195,7 +196,7 @@ void RespondNow(net::FlatRpc& rpc, int core, int conn,
       resp.status = net::MsgStatus::kUnsupported;
     }
   }
-  rpc.PostResponse(core, conn, &resp, not_before, chained);
+  rpc.PostResponse(core, conn, &resp, 0);
 }
 
 // Submits a core's batches: stages the accumulated writes as ONE fused
@@ -226,7 +227,8 @@ bool SubmitBatches(EngineAdapter* engine, net::FlatRpc& rpc, int core,
         case EngineAdapter::Submit::kPending:
           state.pending.push_back({state.write_reqs[i].tag,
                                    state.writes[i].conn,
-                                   state.writes[i].req});
+                                   state.writes[i].req.type,
+                                   state.writes[i].req.seq});
           progress = true;
           break;
         case EngineAdapter::Submit::kDoneNow:
@@ -374,7 +376,7 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       const uint64_t tag = state.next_tag++;
       switch (engine->SubmitTxn(core, ops, nops, tag)) {
         case EngineAdapter::Submit::kPending:
-          state.pending.push_back({tag, conn, *req});
+          state.pending.push_back({tag, conn, req->type, req->seq});
           rpc.PopRequest(core, conn);
           progress = true;
           break;
@@ -450,12 +452,17 @@ bool CorePersistStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
     // The drain's responses go out as one doorbell chain: the first verb
     // pays the MMIO/handoff, the rest ride it (net::FlatRpc::PostResponse
     // `chained`).
+    net::Response resp;
+    resp.status = net::MsgStatus::kOk;
+    resp.value_len = 0;
     bool chain_open = false;
     for (const auto& d : done_scratch) {
       FLATSTORE_CHECK(!state.pending.empty());
       const CoreLoop::PendingWrite& w = state.pending.front();
       FLATSTORE_CHECK_EQ(w.tag, d.tag);  // drains complete in submit order
-      RespondNow(rpc, core, w.conn, w.req, engine, d.done_time, chain_open);
+      resp.type = w.type;
+      resp.seq = w.seq;
+      rpc.PostResponse(core, w.conn, &resp, d.done_time, chain_open);
       chain_open = true;
       state.pending.pop_front();
       state.completed++;

@@ -211,7 +211,7 @@ class FlatStoreAdapter final : public EngineAdapter {
     uint64_t tag;
   };
   // FIFO ring of in-flight tags per core. Population is bounded by the
-  // HB request pool (Stage backpressures before overflow), so a fixed
+  // HB request pool (StageBatch backpressures before overflow), so a fixed
   // ring replaces the old vector whose front-erase was O(n) per drain.
   struct TagRing {
     std::unique_ptr<PendingTag[]> slots{
@@ -276,7 +276,6 @@ class BaselineAdapter final : public EngineAdapter {
 // Benchmark-run configuration.
 struct ServerConfig {
   int num_conns = 8;          // simulated client connections
-  int client_threads = 2;     // host threads driving the connections
   int client_window = 8;      // async requests in flight per connection
   uint64_t ops_per_conn = 10000;
   // Gets polled by a core collect into one MultiGet batch, served as

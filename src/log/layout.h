@@ -68,6 +68,17 @@ struct Superblock {
 };
 static_assert(sizeof(Superblock) <= 4096);
 
+// Index checkpoint chunk (Superblock::checkpoint_off heads the chain):
+// after the allocator's chunk header, this header and then `count`
+// {key, packed} uint64 pairs.
+struct CheckpointHeader {
+  uint64_t next;   // next checkpoint chunk (0 = end of chain)
+  uint64_t count;  // pairs in this chunk
+};
+inline constexpr uint64_t kCheckpointPairs =
+    (alloc::kChunkSize - alloc::kChunkHeaderSize - sizeof(CheckpointHeader)) /
+    16;
+
 // One rotating tail record. The record with the highest seq whose check
 // word validates wins. A tail record is 24 bytes but real PM only writes
 // 8 bytes atomically: a power cut can tear the slot's flush so that e.g.

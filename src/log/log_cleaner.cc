@@ -16,6 +16,8 @@ namespace {
 // victims instead of draining one victim end-to-end.
 constexpr uint64_t kScanSliceBytes = 256 * 1024;
 constexpr size_t kRelocSubBatch = 32;
+// Quantum budget multiplier under allocator pressure level 1.
+constexpr uint64_t kPressureBoost = 4;
 }  // namespace
 
 LogCleaner::LogCleaner(std::vector<OpLog*> logs, int first_core,
@@ -67,21 +69,12 @@ size_t LogCleaner::jobs_in_flight() const {
 size_t LogCleaner::RunOnce() {
   LockGuard<SpinLock> g(run_lock_);
   const int pressure = alloc_->MemoryPressure();
-  if (jobs_.empty() && pressure == 0 &&
-      options_.free_chunk_watermark != 0 &&
-      alloc_->free_chunks() >= options_.free_chunk_watermark) {
-    // Nothing to clean yet. Still reclaim what earlier passes deferred —
-    // readers may have advanced since.
-    return hooks_.epochs->ReclaimDeferred();
-  }
-
   // Backpressure: the byte budget grows with allocator pressure — boost
   // below the watermark, unbounded when the pool is nearly dry (level 2:
   // reclaiming beats pacing).
   uint64_t budget = UINT64_MAX;
   if (options_.quantum_bytes != 0 && pressure < 2) {
-    budget = options_.quantum_bytes *
-             (pressure == 1 ? options_.pressure_boost : 1);
+    budget = options_.quantum_bytes * (pressure == 1 ? kPressureBoost : 1);
   }
 
   size_t retired = 0;

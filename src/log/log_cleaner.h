@@ -106,16 +106,11 @@ class LogCleaner {
     // are never worth relocating.
     double live_ratio = 0.6;
     size_t max_victims = 4;    // in-flight cleaning jobs per core
-    // Only start new cleaning work while the allocator has fewer free
-    // chunks than this (0 = always clean when victims exist). In-flight
-    // jobs always run to completion.
-    uint64_t free_chunk_watermark = 0;
     // Per-RunOnce byte budget over scanned + relocated bytes (0 =
     // unbounded, the synchronous-test default). Under allocator pressure
-    // level 1 the budget is multiplied by `pressure_boost`; at level 2 it
+    // level 1 the budget is multiplied by kPressureBoost; at level 2 it
     // is unbounded — reclaim beats pacing when the pool is nearly dry.
     uint64_t quantum_bytes = 0;
-    uint64_t pressure_boost = 4;
     // Hot/cold survivor segregation (§3.4). A victim whose write-clock
     // age at pick time is >= cold_age — or that already sits in the cold
     // lane — relocates its survivors into the cold cleaner chunk.

@@ -218,7 +218,7 @@ void OpLog::RotateCleanerChunk() {
   }
 }
 
-void OpLog::AdjustLive(uint64_t entry_off, uint32_t entry_len, int dir) {
+void OpLog::NoteDead(uint64_t entry_off, uint32_t entry_len) {
   const uint64_t chunk_off = AlignDown(entry_off, alloc::kChunkSize);
   if (entry_len == 0) {
     // Length unknown: decode the entry in place (its bytes are durable
@@ -238,25 +238,12 @@ void OpLog::AdjustLive(uint64_t entry_off, uint32_t entry_len, int dir) {
   auto it = usage_.find(chunk_off);
   if (it == usage_.end()) return;
   ChunkUsage& u = it->second;
-  if (dir < 0) {
-    if (u.live > 0) u.live--;
-    u.live_bytes -= std::min<uint64_t>(u.live_bytes, entry_len);
-    // A death is an overwrite/delete event: the chunk is "recently
-    // active", so cost-benefit deprioritizes it while its live ratio is
-    // still falling (LFS: clean cold, stable garbage first).
-    u.last_write_clock = std::max(u.last_write_clock, now);
-  } else {
-    u.live++;
-    u.live_bytes += entry_len;
-  }
-}
-
-void OpLog::NoteDead(uint64_t entry_off, uint32_t entry_len) {
-  AdjustLive(entry_off, entry_len, -1);
-}
-
-void OpLog::NoteLiveLost(uint64_t entry_off, uint32_t entry_len) {
-  AdjustLive(entry_off, entry_len, +1);
+  if (u.live > 0) u.live--;
+  u.live_bytes -= std::min<uint64_t>(u.live_bytes, entry_len);
+  // A death is an overwrite/delete event: the chunk is "recently active",
+  // so cost-benefit deprioritizes it while its live ratio is still
+  // falling (LFS: clean cold, stable garbage first).
+  u.last_write_clock = std::max(u.last_write_clock, now);
 }
 
 std::map<uint64_t, ChunkUsage> OpLog::UsageSnapshot() const {
@@ -365,17 +352,6 @@ std::vector<VictimInfo> OpLog::PickVictims(const VictimQuery& query) const {
   return out;
 }
 
-std::vector<uint64_t> OpLog::PickVictims(double live_ratio,
-                                         size_t max) const {
-  VictimQuery q;
-  q.policy = VictimQuery::Policy::kLiveRatio;
-  q.live_ratio = live_ratio;
-  q.max = max;
-  std::vector<uint64_t> out;
-  for (const VictimInfo& v : PickVictims(q)) out.push_back(v.chunk_off);
-  return out;
-}
-
 uint64_t OpLog::MinSeq() const {
   LockGuard<SpinLock> g(usage_lock_);
   uint64_t min_seq = UINT64_MAX;
@@ -423,7 +399,7 @@ void OpLog::UnclaimChunk(uint64_t chunk_off) {
 }
 
 std::vector<OpLog::TierCandidate> OpLog::PickTierCandidates(
-    uint64_t min_age, double min_live_ratio, size_t max) {
+    double min_live_ratio, size_t max) {
   struct Candidate {
     bool cold;
     uint32_t seq;
@@ -436,8 +412,6 @@ std::vector<OpLog::TierCandidate> OpLog::PickTierCandidates(
     active_cleaner[t] = cleaner_chunk_[t].load(std::memory_order_acquire);
   }
   const uint64_t tail = tail_.load(std::memory_order_acquire);
-  // relaxed: logical clock snapshot, same contract as PickVictims.
-  const uint64_t now = write_clock_.load(std::memory_order_relaxed);
   {
     LockGuard<SpinLock> g(usage_lock_);
     for (const auto& [off, u] : usage_) {
@@ -452,9 +426,6 @@ std::vector<OpLog::TierCandidate> OpLog::PickTierCandidates(
       if (u.total == 0 || u.live == 0) continue;
       const double ratio = static_cast<double>(u.live) / u.total;
       if (ratio < min_live_ratio) continue;
-      const uint64_t age =
-          now > u.last_write_clock ? now - u.last_write_clock : 0;
-      if (age < min_age) continue;
       Candidate c;
       c.cold = u.cleaner && u.temp == Temp::kCold;
       c.seq = u.seq;

@@ -155,10 +155,6 @@ class OpLog {
   // live bytes; 0 = decode the entry in place to learn its length.
   void NoteDead(uint64_t entry_off, uint32_t entry_len = 0);
 
-  // Marks the entry at `entry_off` live again (failed relocation CAS —
-  // the copy became garbage instead of the original).
-  void NoteLiveLost(uint64_t entry_off, uint32_t entry_len = 0);
-
   // --- introspection / GC support ---
 
   // Committed tail (pool offset; 0 before the first append). Written by
@@ -172,11 +168,6 @@ class OpLog {
 
   // Snapshot of per-chunk usage, keyed by chunk offset.
   std::map<uint64_t, ChunkUsage> UsageSnapshot() const;
-
-  // Chooses sealed chunks whose live ratio is below `live_ratio`,
-  // excluding chunks the cleaner itself wrote that are still its current
-  // chunk. Returns chunk offsets, oldest sequence first.
-  std::vector<uint64_t> PickVictims(double live_ratio, size_t max) const;
 
   // Policy-driven victim selection over the incremental per-chunk
   // counters (never rescans). kLiveRatio reproduces the legacy ordering;
@@ -225,15 +216,13 @@ class OpLog {
     uint64_t registry_slot = 0;
   };
 
-  // Chooses sealed chunks ready for tier conversion: at least `min_age`
-  // write-clock ticks idle, live-entry ratio at or above
-  // `min_live_ratio` (mostly-dead chunks are better freed by the
+  // Chooses sealed chunks ready for tier conversion: live-entry ratio at
+  // or above `min_live_ratio` (mostly-dead chunks are better freed by the
   // cleaner than leaked into the tier), never the serving/tail/cleaner
   // chunks. Cold cleaner chunks come first (the PR 5 cold lane drains
   // into the tier), then oldest sequence. Every returned chunk is
   // claimed; the caller must DetachForTier or UnclaimChunk it.
-  std::vector<TierCandidate> PickTierCandidates(uint64_t min_age,
-                                                double min_live_ratio,
+  std::vector<TierCandidate> PickTierCandidates(double min_live_ratio,
                                                 size_t max);
 
   // Forgets a chunk converted into the tier: erased from the usage map
@@ -293,10 +282,6 @@ class OpLog {
   // the inherited `age_clock`).
   void AccountBatch(uint64_t chunk, const EntryRef* entries, size_t n,
                     bool cleaner, uint64_t age_clock);
-
-  // Shared body of NoteDead/NoteLiveLost: resolves the entry length
-  // (decoding in place when unknown) and adjusts live counters by `dir`.
-  void AdjustLive(uint64_t entry_off, uint32_t entry_len, int dir);
 
   RootArea* root_;
   alloc::LazyAllocator* alloc_;

@@ -40,7 +40,7 @@ inline constexpr uint64_t kClwbIssueCost = 8;
 inline constexpr uint64_t kFenceCost = 10;
 
 // Device service time for a random 256 B internal block write (per DIMM).
-// 4 DIMMs / 62 ns => ~64 M blocks/s aggregate => ~60+ Mops of 64 B writes.
+// 4 DIMMs / 95 ns => ~42 M blocks/s aggregate => ~40 Mops of 64 B writes.
 inline constexpr uint64_t kPmBlockService = 95;
 
 // Service time when the written block immediately follows the previous

@@ -313,6 +313,53 @@ TEST(HotPathAlloc, OpenLoopAdmissionIsAllocationFree) {
 // (registry + usage-map insert) is *allowed* to allocate — this guards
 // the test above against silently measuring too much volume, and
 // documents where the remaining cold-path allocations live.
+// FlatStore-M with the tier scans through its ordered index, so its
+// drain keeps no delta sets: overwriting keys the tiering pass already
+// converted (and so dropped from any delta set) must not touch the heap.
+// A drain that still inserted those keys into a std::set would allocate
+// one node per key in the first measured cycle.
+TEST(HotPathAlloc, OrderedTierOverwriteDrainIsAllocationFree) {
+  pm::PmPool::Options o;
+  o.size = 128ull << 20;
+  pm::PmPool pool(o);
+  FlatStoreOptions fo;
+  fo.num_cores = 1;
+  fo.group_size = 1;
+  fo.index = IndexKind::kMasstree;
+  fo.tier_enabled = true;
+  auto store = FlatStore::Create(&pool, fo);
+
+  constexpr size_t kBatch = kMaxWriteBatch;
+  constexpr uint32_t kValueLen = 48;  // inline: no out-of-log block alloc
+  uint8_t value[kValueLen];
+  std::memset(value, 0x6b, sizeof(value));
+  WriteOp tiered[kBatch];  // converted into the tier below
+  WriteOp fresh[kBatch];   // written after the seal: moves the tail on
+  OpStatus statuses[kBatch];
+  for (size_t i = 0; i < kBatch; i++) {
+    tiered[i] = {static_cast<uint64_t>(i), value, kValueLen, false};
+    fresh[i] = {static_cast<uint64_t>(1000 + i), value, kValueLen, false};
+  }
+  ASSERT_EQ(store->MultiPutOnCore(0, tiered, kBatch, statuses), kBatch);
+  store->SealActiveLogChunks();
+  // Warm-up: chunk rollover, index and scratch high-water marks, and the
+  // durable tail moved out of the sealed chunk so it may tier.
+  for (int i = 0; i < 10; i++) {
+    ASSERT_EQ(store->MultiPutOnCore(0, fresh, kBatch, statuses), kBatch);
+  }
+  ASSERT_EQ(store->RunTieringOnce(), 1u);
+
+  const uint64_t before = g_allocs.load(std::memory_order_relaxed);
+  for (int i = 0; i < 100; i++) {
+    ASSERT_EQ(store->MultiPutOnCore(0, tiered, kBatch, statuses), kBatch);
+  }
+  const uint64_t after = g_allocs.load(std::memory_order_relaxed);
+
+  EXPECT_EQ(after - before, 0u)
+      << "overwrite/drain on FlatStore-M with the tier heap-allocated "
+      << (after - before) << " times across 100 warm batches";
+}
+
 TEST(HotPathAlloc, ChunkRolloverIsTheColdPath) {
   pm::PmPool::Options o;
   o.size = 128ull << 20;

@@ -260,16 +260,17 @@ TEST_F(OpLogTest, NoteDeadDrivesVictimSelection) {
     uint64_t off;
     ASSERT_TRUE(log_->AppendBatch(&ref, 1, &off));
   }
-  EXPECT_TRUE(log_->PickVictims(0.5, 8).empty());  // everything live
+  const VictimQuery half{VictimQuery::Policy::kLiveRatio, 0.5, 8};
+  EXPECT_TRUE(log_->PickVictims(half).empty());  // everything live
   auto usage = log_->UsageSnapshot();
   uint64_t first_chunk = usage.begin()->first;
   uint32_t total = usage.begin()->second.total;
   for (uint32_t i = 0; i < total; i++) {
     log_->NoteDead(first_chunk + kLogDataOff + i);  // any offset in chunk
   }
-  auto victims = log_->PickVictims(0.5, 8);
+  auto victims = log_->PickVictims(half);
   ASSERT_EQ(victims.size(), 1u);
-  EXPECT_EQ(victims[0], first_chunk);
+  EXPECT_EQ(victims[0].chunk_off, first_chunk);
 }
 
 TEST_F(OpLogTest, ReleaseChunkUnregistersAndFrees) {
@@ -390,12 +391,13 @@ TEST_F(OpLogTest, VictimSelectionSparesTheTailChunk) {
   const uint64_t chunk = AlignDown(offs[0], alloc::kChunkSize);
   for (uint64_t off : offs) log_->NoteDead(off);
   log_->SealActiveChunk();
-  EXPECT_TRUE(log_->PickVictims(1.0, 8).empty());
+  const VictimQuery any{VictimQuery::Policy::kLiveRatio, 1.0, 8};
+  EXPECT_TRUE(log_->PickVictims(any).empty());
   // Once the tail moves to a fresh chunk the old one is fair game.
   AppendPtrBatch(1);
-  auto victims = log_->PickVictims(1.0, 8);
+  auto victims = log_->PickVictims(any);
   ASSERT_EQ(victims.size(), 1u);
-  EXPECT_EQ(victims[0], chunk);
+  EXPECT_EQ(victims[0].chunk_off, chunk);
 }
 
 TEST_F(OpLogTest, TornTailSlotFailsCheckAndFallsBack) {

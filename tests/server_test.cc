@@ -31,7 +31,6 @@ TEST(Server, AllOpsCompleteAndLand) {
   Harness h;
   ServerConfig cfg;
   cfg.num_conns = 4;
-  cfg.client_threads = 1;
   cfg.ops_per_conn = 2000;
   cfg.workload.key_space = 4096;
   cfg.workload.value_len = 64;
@@ -49,7 +48,6 @@ TEST(Server, LatencyIsAtLeastOneRoundTrip) {
   Harness h;
   ServerConfig cfg;
   cfg.num_conns = 1;
-  cfg.client_threads = 1;
   cfg.client_window = 1;
   cfg.ops_per_conn = 500;
   cfg.workload.key_space = 1024;
@@ -131,7 +129,6 @@ TEST(Server, PipelinedHbBeatsNoBatchingInSimTime) {
     FlatStoreAdapter adapter(store.get());
     ServerConfig cfg;
     cfg.num_conns = 8;
-    cfg.client_threads = 2;
     cfg.ops_per_conn = 3000;
     cfg.workload.key_space = 1 << 16;
     cfg.workload.value_len = 64;

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <optional>
 #include <random>
 #include <string>
@@ -313,6 +314,70 @@ TEST(Tier, TieredTombstoneStaysDeadAcrossReopen) {
     EXPECT_NE(k, 7u);
     EXPECT_NE(k, 11u);
   }
+}
+
+// FlatStore-M with the tier: the ordered index serves every scan, so the
+// store keeps no delta sets, yet the tier still converts chunks and every
+// open loads it. Scan must equal the full-iteration baseline, and both
+// must equal a model of the acknowledged writes, at every step: puts,
+// deletes, a seal, a tiering pass, a crash + Open and a clean reopen.
+TEST(Tier, OrderedIndexWithTierScansMatchAcrossCrashAndReopen) {
+  pm::PmPool::Options o;
+  o.size = 128ull << 20;
+  o.crash_tracking = true;
+  pm::PmPool pool(o);
+  FlatStoreOptions opts = TierOptions();
+  opts.index = IndexKind::kMasstree;
+  constexpr uint64_t kKeys = 800;
+  std::map<uint64_t, std::string> model;
+  auto check = [&](FlatStore* store, const char* step) {
+    const ScanRows want(model.begin(), model.end());
+    const std::pair<uint64_t, uint64_t> ranges[] = {
+        {0, kKeys + 10}, {kKeys / 3, 100}, {kKeys - 40, 200}};
+    for (const auto& [start, count] : ranges) {
+      ScanRows scanned, full;
+      const uint64_t a = store->Scan(start, count, &scanned);
+      ASSERT_EQ(a, store->ScanFullIteration(start, count, &full))
+          << step << ", start=" << start;
+      ASSERT_EQ(scanned, full) << step << ", start=" << start;
+      if (start == 0) {
+        ASSERT_EQ(scanned, want) << step;
+      }
+    }
+  };
+  auto put = [&](FlatStore* store, uint64_t k, uint64_t nonce, size_t len) {
+    model[k] = ValueFor(k, nonce, len);
+    store->Put(k, model[k]);
+  };
+  {
+    auto store = FlatStore::Create(&pool, opts);
+    for (uint64_t k = 0; k < kKeys; k++) put(store.get(), k, 1, 40);
+    check(store.get(), "puts");
+    for (uint64_t k = 0; k < kKeys; k += 7) {
+      ASSERT_TRUE(store->Delete(k));
+      model.erase(k);
+    }
+    check(store.get(), "deletes");
+    store->SealActiveLogChunks();
+    // Supersede a third of the keys (re-putting some deleted ones); this
+    // also moves each core's durable tail out of the sealed chunks.
+    for (uint64_t k = 0; k < kKeys; k += 3) put(store.get(), k, 2, 56);
+    check(store.get(), "seal");
+    ASSERT_GT(store->RunTieringOnce(), 0u);
+    ASSERT_NE(store->tier(), nullptr);
+    check(store.get(), "tiering");
+    // No Shutdown(): the store is dropped and the power cut.
+  }
+  pool.SimulateCrash();
+  {
+    auto store = FlatStore::Open(&pool, opts);
+    EXPECT_GT(store->recovery_stats().chunks_skipped_tiered, 0u);
+    EXPECT_GT(store->recovery_stats().tier_nodes_loaded, 0u);
+    check(store.get(), "crash + Open");
+    store->Shutdown();
+  }
+  auto store = FlatStore::Open(&pool, opts);
+  check(store.get(), "clean reopen");
 }
 
 TEST(Tier, RepeatedConversionAcrossReopens) {
