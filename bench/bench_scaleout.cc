@@ -93,11 +93,10 @@ void RunClusterPoint(benchmark::State& state, int nshards, int sockets,
                      double offered_mops = 0) {
   ClusterRig cluster =
       MakeCluster(nshards, sockets, cores_per_shard, placement, pool_mb);
-  core::ClusterConfig cc;
-  cc.server = BaseConfig(conns);
+  core::ServerConfig cc = BaseConfig(conns);
   if (offered_mops > 0) {
-    cc.server.open_loop = true;
-    cc.server.offered_mops = offered_mops;
+    cc.open_loop = true;
+    cc.offered_mops = offered_mops;
   }
   core::ClusterResult result;
   for (auto _ : state) {

@@ -1164,8 +1164,7 @@ bool FlatStore::ScanMerged(uint64_t want, uint64_t* cursor,
     }
   }
   std::sort(delta.begin(), delta.end());
-  if (tier_->Gather(*cursor, want, &tiered, 0, nullptr, &tiered_packed) ==
-      want) {
+  if (tier_->Gather(*cursor, want, &tiered, &tiered_packed) == want) {
     truncated = true;
     bound = std::min(bound, tiered.back());
   }
@@ -1383,14 +1382,6 @@ bool FlatStore::ConvertChunk(int core,
   // freshly inserted tier nodes are harmless duplicates in the version
   // duel; after it, recovery loads the nodes instead.
   root_->SetChunkTiered(cand.registry_slot);
-  // Advisory frontier: newest tiered sequence per core (diagnostics;
-  // ground truth stays the per-chunk registry flags).
-  log::Superblock* sb = root_->superblock();
-  if (cand.seq > sb->tier_frontier_seq[core]) {
-    sb->tier_frontier_seq[core] = cand.seq;
-    pool_->PersistFence(&sb->tier_frontier_seq[core],
-                        sizeof(sb->tier_frontier_seq[core]));
-  }
   logs_[core]->DetachForTier(cand.chunk_off);
   chunks_tiered_++;
   if (!DeltaActive()) return true;

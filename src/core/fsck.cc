@@ -10,6 +10,7 @@
 #include "log/layout.h"
 #include "log/log_reader.h"
 #include "tier/tier.h"
+#include "vt/costs.h"
 
 namespace flatstore {
 namespace core {
@@ -355,7 +356,7 @@ FsckReport FsckPool(const pm::PmPool& pool) {
       }
       const auto* n = mutable_pool->PtrAt<tier::TierNode>(node_off);
       if (node_off % sizeof(tier::TierNode) != 0 ||
-          n->home_socket >= static_cast<uint32_t>(tier::kMaxLaneSockets) ||
+          n->home_socket >= static_cast<uint32_t>(vt::kMaxSockets) ||
           n->pad != 0) {
         c.Fatal("tier node at " + std::to_string(node_off) +
                 " is corrupt (home socket " + std::to_string(n->home_socket) +

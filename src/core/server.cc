@@ -130,16 +130,24 @@ struct CoreLoop {
     uint64_t seq;
   };
   std::deque<PendingWrite> pending;
-  // An admitted, not yet answered or staged request.
+  // An admitted, not yet answered Get: its response needs only the
+  // request's type and seq.
+  struct PendingRead {
+    int conn;
+    uint64_t key;
+    net::MsgType type;
+    uint64_t seq;
+  };
+  // Read batch for the MultiGet path: Gets admitted since the last
+  // submission plus deferred leftovers (keys whose writes were in flight).
+  std::vector<PendingRead> reads;
+  std::vector<uint64_t> read_keys;       // scratch, sized kMaxReadBatch
+  std::vector<ReadResult> read_results;  // scratch, sized kMaxReadBatch
+  // An admitted, not yet answered or staged write.
   struct Slot {
     int conn;
     net::Request req;
   };
-  // Read batch for the MultiGet path: Gets admitted since the last
-  // submission plus deferred leftovers (keys whose writes were in flight).
-  std::vector<Slot> reads;
-  std::vector<uint64_t> read_keys;       // scratch, sized kMaxReadBatch
-  std::vector<ReadResult> read_results;  // scratch, sized kMaxReadBatch
   // Write batch for the fused MultiPut path: Puts/Deletes admitted since
   // the last submission plus backpressured leftovers (fused staging is
   // all-or-nothing).
@@ -160,11 +168,11 @@ struct CoreLoop {
 };
 
 // Posts the response for an already-served read.
-void PostReadResponse(net::FlatRpc& rpc, int core, int conn,
-                      const net::Request& req, const ReadResult& r) {
+void PostReadResponse(net::FlatRpc& rpc, int core,
+                      const CoreLoop::PendingRead& read, const ReadResult& r) {
   net::Response resp;
-  resp.type = req.type;
-  resp.seq = req.seq;
+  resp.type = read.type;
+  resp.seq = read.seq;
   resp.value_len = 0;
   if (r.status == GetResult::kFound) {
     resp.status = net::MsgStatus::kOk;
@@ -174,7 +182,7 @@ void PostReadResponse(net::FlatRpc& rpc, int core, int conn,
   } else {
     resp.status = net::MsgStatus::kNotFound;
   }
-  rpc.PostResponse(core, conn, &resp, 0);
+  rpc.PostResponse(core, read.conn, &resp, 0);
 }
 
 void RespondNow(net::FlatRpc& rpc, int core, int conn,
@@ -249,7 +257,7 @@ bool SubmitBatches(EngineAdapter* engine, net::FlatRpc& rpc, int core,
   if (!state.reads.empty()) {
     const size_t n = state.reads.size();
     for (size_t i = 0; i < n; i++) {
-      state.read_keys[i] = state.reads[i].req.key;
+      state.read_keys[i] = state.reads[i].key;
     }
     engine->MultiGet(core, state.read_keys.data(), n,
                      state.read_results.data());
@@ -261,7 +269,7 @@ bool SubmitBatches(EngineAdapter* engine, net::FlatRpc& rpc, int core,
       if (state.read_results[i].status != GetResult::kDeferred &&
           !state.writes.empty()) {
         for (const auto& w : state.writes) {
-          if (w.req.key == state.reads[i].req.key) {
+          if (w.req.key == state.reads[i].key) {
             state.read_results[i].status = GetResult::kDeferred;
             break;
           }
@@ -271,8 +279,7 @@ bool SubmitBatches(EngineAdapter* engine, net::FlatRpc& rpc, int core,
         state.reads[kept++] = state.reads[i];
         continue;
       }
-      PostReadResponse(rpc, core, state.reads[i].conn, state.reads[i].req,
-                       state.read_results[i]);
+      PostReadResponse(rpc, core, state.reads[i], state.read_results[i]);
       state.completed++;
       progress = true;
     }
@@ -420,7 +427,7 @@ bool CorePollStep(EngineAdapter* engine, net::FlatRpc& rpc, int core,
     // runs inside MultiGet: busy keys come back kDeferred and stay in the
     // batch instead of head-of-line-blocking the ring.
     if (is_read) {
-      state.reads.push_back({conn, *req});
+      state.reads.push_back({conn, req->key, req->type, req->seq});
     } else {
       state.writes.push_back({conn, *req});
     }
@@ -819,21 +826,21 @@ ServerResult RunServer(EngineAdapter* engine, const ServerConfig& config) {
 }
 
 ClusterResult RunCluster(const std::vector<EngineAdapter*>& engines,
-                         const ClusterConfig& config) {
+                         const ServerConfig& config) {
   FLATSTORE_CHECK_GE(engines.size(), 1u);
-  FLATSTORE_CHECK_LE(config.server.client_window, 8)
+  FLATSTORE_CHECK_LE(config.client_window, 8)
       << "client window exceeds the response ring size";
-  net::ShardRouter router(config.router_vnodes);
+  net::ShardRouter router;
   for (size_t s = 0; s < engines.size(); s++) {
     router.AddShard(static_cast<int>(s));
   }
   std::vector<ShardRt> shards;
   shards.reserve(engines.size());
   for (EngineAdapter* e : engines) {
-    shards.push_back(MakeShardRt(e, config.server));
+    shards.push_back(MakeShardRt(e, config));
   }
-  std::vector<Conn> conns = MakeConns(config.server);
-  RunLoop(shards, &router, conns, config.server);
+  std::vector<Conn> conns = MakeConns(config);
+  RunLoop(shards, &router, conns, config);
 
   ClusterResult result;
   for (const Conn& c : conns) {

@@ -335,14 +335,6 @@ ServerResult RunServer(EngineAdapter* engine, const ServerConfig& config);
 // consistent-hash ring (net::ShardRouter) and then to a core via the
 // shard's own CoreForKey; shards share nothing, so the deployment's
 // crash/recovery story is per-shard.
-struct ClusterConfig {
-  // Per-shard serving knobs + the client fleet (num_conns = client
-  // nodes, each connected to every shard).
-  ServerConfig server;
-  // Consistent-hash points per shard.
-  int router_vnodes = 64;
-};
-
 struct ClusterResult {
   uint64_t ops = 0;
   uint64_t sim_ns = 0;  // max simulated core time across all shards
@@ -352,11 +344,13 @@ struct ClusterResult {
 };
 
 // Runs `shards.size()` engines as one cluster until every connection
-// finishes its quota. With one shard this is byte-for-byte RunServer
-// (same request stream, same virtual-time results) — the single-shard
-// path *is* the shared loop.
+// finishes its quota. `config` sets each shard's serving knobs and the
+// client fleet (num_conns = client nodes, each connected to every
+// shard). With one shard this is byte-for-byte RunServer (same request
+// stream, same virtual-time results) — the single-shard path *is* the
+// shared loop.
 ClusterResult RunCluster(const std::vector<EngineAdapter*>& shards,
-                         const ClusterConfig& config);
+                         const ServerConfig& config);
 
 // Convenience: bulk-load `keys` sequential keys through the engine's
 // synchronous path before a measured run (the paper preloads the key

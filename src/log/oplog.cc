@@ -430,7 +430,6 @@ std::vector<OpLog::TierCandidate> OpLog::PickTierCandidates(
       c.cold = u.cleaner && u.temp == Temp::kCold;
       c.seq = u.seq;
       c.tc.chunk_off = off;
-      c.tc.seq = u.seq;
       c.tc.registry_slot = u.registry_slot;
       candidates.push_back(c);
     }

@@ -212,7 +212,6 @@ class OpLog {
 
   struct TierCandidate {
     uint64_t chunk_off = 0;
-    uint32_t seq = 0;
     uint64_t registry_slot = 0;
   };
 

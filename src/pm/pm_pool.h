@@ -116,7 +116,6 @@ class PmPool {
     const int s = static_cast<int>(off / socket_span_);
     return s < num_sockets_ ? s : num_sockets_ - 1;
   }
-  int SocketOfPtr(const void* p) const { return SocketOf(OffsetOf(p)); }
 
   // Pointer <-> pool-offset conversion. Offsets are what gets stored in
   // PM-resident pointers (`Ptr` fields) so pools are relocatable.

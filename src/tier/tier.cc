@@ -13,12 +13,11 @@ namespace flatstore {
 namespace tier {
 
 // A DRAM lane node: the volatile express-lane entry of one PM node of
-// height >= 2, or a socket's lane head (off 0, kMaxHeight - 1 links). The
-// links follow this header in the same allocation: next(l) is the level-l
-// successor on the owning socket's lanes, for l in [1, NodeHeight(key)).
-// `count` is the node's segment count: the L0 nodes from this node
-// (inclusive; for a head, from the L0 head) up to the next level-1 node
-// of its lane.
+// height >= 2, or the lane head (off 0, kMaxHeight - 1 links). The links
+// follow this header in the same allocation: next(l) is the level-l
+// successor, for l in [1, NodeHeight(key)). `count` is the node's segment
+// count: the L0 nodes from this node (inclusive; for the head, from the L0
+// head) up to the next level-1 node.
 struct LaneNode {
   uint64_t key;
   uint64_t off;  // PM offset of the TierNode; 0 for a lane head
@@ -86,10 +85,8 @@ PersistentTier::PersistentTier(pm::PmPool* pool, alloc::LazyAllocator* alloc,
       num_sockets_(num_sockets < 1 ? 1 : num_sockets),
       root_off_(root_off),
       arena_global_tail_(root_off) {
-  if (num_sockets_ > kMaxLaneSockets) num_sockets_ = kMaxLaneSockets;
-  for (int s = 0; s < num_sockets_; s++) {
-    heads_[s] = NewLaneNode(0, 0, kMaxHeight);
-  }
+  if (num_sockets_ > vt::kMaxSockets) num_sockets_ = vt::kMaxSockets;
+  head_ = NewLaneNode(0, 0, kMaxHeight);
 }
 
 TierRoot* PersistentTier::tier_root() const {
@@ -119,8 +116,8 @@ std::unique_ptr<PersistentTier> PersistentTier::Create(
   hdr->used = sizeof(TierRoot);  // the root block is the first reservation
   TierRoot* root = t->tier_root();
   root->head0 = 0;
-  root->node_count = 0;
-  root->reserved = 0;
+  root->reserved[0] = 0;
+  root->reserved[1] = 0;
   pool->Persist(hdr, sizeof(ArenaHeader));
   pool->Persist(root, sizeof(TierRoot));
   pool->Fence();
@@ -152,7 +149,7 @@ std::unique_ptr<PersistentTier> PersistentTier::Open(
         << "tier arena chain corrupt at " << off;
     t->arena_chunks_.push_back(off);
     const ArenaHeader* hdr = t->arena_header(off);
-    const int s = static_cast<int>(hdr->socket) % kMaxLaneSockets;
+    const int s = static_cast<int>(hdr->socket) % vt::kMaxSockets;
     t->socket_tail_[s] = off;
     t->arena_global_tail_ = off;
     off = hdr->next;
@@ -185,33 +182,27 @@ void PersistentTier::RebuildLanes(
     const std::function<void(uint64_t key, uint64_t packed)>& on_node) {
   // The L0 list is the durable truth; the DRAM lanes and their segment
   // counts are rebuilt from it in this one walk on every open.
-  LaneNode* tails[kMaxLaneSockets][kMaxHeight];
-  LaneNode* seg[kMaxLaneSockets];  // segment head covering the walk
-  for (int s = 0; s < num_sockets_; s++) {
-    for (int l = 1; l < kMaxHeight; l++) tails[s][l] = heads_[s];
-    seg[s] = heads_[s];
-  }
+  LaneNode* tails[kMaxHeight];
+  for (int l = 1; l < kMaxHeight; l++) tails[l] = head_;
+  LaneNode* seg = head_;  // segment head covering the walk
   node_count_ = 0;
   uint64_t cur = tier_root()->head0;
   while (cur != 0) {
     const TierNode* n = NodeAt(cur);
     pool_->ChargeRead(n, sizeof(TierNode));
-    FLATSTORE_CHECK(n->home_socket < kMaxLaneSockets && n->pad == 0)
+    FLATSTORE_CHECK(n->home_socket < vt::kMaxSockets && n->pad == 0)
         << "tier node at " << cur << " is corrupt (home socket "
         << n->home_socket << ", pad " << n->pad << ")";
-    const int s = LaneOf(n);
     const int height = NodeHeight(n->key);
     if (height >= 2) {
       LaneNode* lane = NewLaneNode(n->key, cur, height);
       for (int l = 1; l < height; l++) {
-        tails[s][l]->next(l).store(lane, std::memory_order_release);
-        tails[s][l] = lane;
+        tails[l]->next(l).store(lane, std::memory_order_release);
+        tails[l] = lane;
       }
-      seg[s] = lane;
+      seg = lane;
     }
-    for (int t = 0; t < num_sockets_; t++) {
-      StoreCount(seg[t], LoadCount(seg[t]) + 1);
-    }
+    StoreCount(seg, LoadCount(seg) + 1);
     if (on_node) on_node(n->key, n->packed);
     node_count_++;
     cur = n->next;
@@ -308,17 +299,15 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
   if (!dirty.empty()) pool_->Fence();
 
   // Pass C — zipper merge: one forward L0 cursor sweeps the batch in a
-  // single pass and keeps the DRAM lanes current on the way. Per socket,
-  // pred[s][l] is the last level-l lane node below the sweep position (a
-  // lane head to begin with) — every lane node is a level-1 node, so the
-  // L0 sweep passes each in key order — and seg_pos[s] counts the L0
-  // nodes of pred[s][1]'s segment at or before the position.
+  // single pass and keeps the DRAM lanes current on the way. pred[l] is
+  // the last level-l lane node below the sweep position (the lane head to
+  // begin with) — every lane node is a level-1 node, so the L0 sweep
+  // passes each in key order — and seg_pos counts the L0 nodes of
+  // pred[1]'s segment at or before the position.
   uint64_t* l0_slot = &root->head0;
-  LaneNode* pred[kMaxLaneSockets][kMaxHeight];
-  uint64_t seg_pos[kMaxLaneSockets] = {};
-  for (int s = 0; s < num_sockets_; s++) {
-    for (int l = 1; l < kMaxHeight; l++) pred[s][l] = heads_[s];
-  }
+  LaneNode* pred[kMaxHeight];
+  for (int l = 1; l < kMaxHeight; l++) pred[l] = head_;
+  uint64_t seg_pos = 0;
 
   for (size_t i = 0; i < n; i++) {
     const uint64_t key = entries[i].key;
@@ -327,17 +316,16 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
       if (nxt == 0 || NodeAt(nxt)->key >= key) break;
       const TierNode* x = NodeAt(nxt);
       pool_->ChargeRead(x, sizeof(TierNode));
-      const int xs = LaneOf(x);
       const int xh = NodeHeight(x->key);
       if (xh >= 2) {
-        // x heads the next segment of its socket's lane.
-        LaneNode* lane = LoadLane(pred[xs][1]->next(1));
+        // x heads the next segment.
+        LaneNode* lane = LoadLane(pred[1]->next(1));
         FLATSTORE_DCHECK(lane != nullptr && lane->off == nxt);
         vt::ChargeMiss(vt::kCpuCacheMiss);
-        for (int l = 1; l < xh; l++) pred[xs][l] = lane;
-        seg_pos[xs] = 0;
+        for (int l = 1; l < xh; l++) pred[l] = lane;
+        seg_pos = 0;
       }
-      for (int t = 0; t < num_sockets_; t++) seg_pos[t]++;
+      seg_pos++;
       l0_slot = &NodeAt(nxt)->next;
     }
     const uint64_t succ = LoadLink(l0_slot);
@@ -350,11 +338,11 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
       pool_->Persist(&node->packed, sizeof(uint64_t));
       continue;
     }
-    const int s = entries[i].home_socket % num_sockets_;
     TierNode* node = NodeAt(offs[i]);
     node->key = key;
     node->packed = entries[i].packed;
-    node->home_socket = static_cast<uint32_t>(s);
+    node->home_socket =
+        static_cast<uint32_t>(entries[i].home_socket % num_sockets_);
     node->pad = 0;
     node->next = succ;
     // Persist-before-publish: the node's bytes are durable and fenced
@@ -368,24 +356,23 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
     l0_slot = &node->next;
     node_count_++;
 
-    // DRAM lanes. The node joins the segment under the position on every
-    // socket's lane but its own when it starts a segment there.
+    // DRAM lanes. A node of height 1 joins the segment under the
+    // position.
     const int height = NodeHeight(key);
-    for (int t = 0; t < num_sockets_; t++) {
-      if (t == s && height >= 2) continue;
-      StoreCount(pred[t][1], LoadCount(pred[t][1]) + 1);
-      seg_pos[t]++;
+    if (height < 2) {
+      StoreCount(pred[1], LoadCount(pred[1]) + 1);
+      seg_pos++;
+      continue;
     }
-    if (height < 2) continue;
-    // Split pred[s][1]'s segment: it keeps its seg_pos[s] nodes before
-    // the new node, which heads the rest. The lane node is complete before
-    // the release stores below publish it; a reader that still sees the
-    // old count reads the shorter segment and plans on (Gather).
+    // Split pred[1]'s segment: it keeps its seg_pos nodes before the new
+    // node, which heads the rest. The lane node is complete before the
+    // release stores below publish it; a reader that still sees the old
+    // count reads the shorter segment and plans on (Gather).
     LaneNode* lane = NewLaneNode(key, offs[i], height);
-    LaneNode* split = pred[s][1];
-    StoreCount(lane, LoadCount(split) + 1 - seg_pos[s]);
+    LaneNode* split = pred[1];
+    StoreCount(lane, LoadCount(split) + 1 - seg_pos);
     for (int l = 1; l < height; l++) {
-      lane->next(l).store(LoadLane(pred[s][l]->next(l)),
+      lane->next(l).store(LoadLane(pred[l]->next(l)),
                           std::memory_order_release);
     }
     // One miss for the new lane node and one per distinct predecessor it
@@ -393,25 +380,24 @@ bool PersistentTier::InsertBatch(const TierEntry* entries, size_t n) {
     vt::ChargeMiss(vt::kCpuCacheMiss);
     const LaneNode* linked = split;
     for (int l = 1; l < height; l++) {
-      if (pred[s][l] != linked) {
+      if (pred[l] != linked) {
         vt::ChargeMiss(vt::kCpuCacheMiss);
-        linked = pred[s][l];
+        linked = pred[l];
       }
-      pred[s][l]->next(l).store(lane, std::memory_order_release);
-      pred[s][l] = lane;
+      pred[l]->next(l).store(lane, std::memory_order_release);
+      pred[l] = lane;
     }
-    StoreCount(split, seg_pos[s]);
-    seg_pos[s] = 1;
+    StoreCount(split, seg_pos);
+    seg_pos = 1;
   }
-  root->node_count = node_count_;
-  // Advisory counter, recomputed from the L0 walk on open.
-  pool_->Persist(&root->node_count, sizeof(uint64_t));
+  // Orders the batch's deferred persists before the caller's conversion
+  // commit (SetChunkTiered).
   pool_->Fence();
   return true;
 }
 
-const LaneNode* PersistentTier::Level1Pred(uint64_t target, int s) const {
-  const LaneNode* p = heads_[s];
+const LaneNode* PersistentTier::Level1Pred(uint64_t target) const {
+  const LaneNode* p = head_;
   const LaneNode* seen = nullptr;  // a node compared one level up is cached
   for (int level = kMaxHeight - 1; level >= 1; level--) {
     for (;;) {
@@ -426,8 +412,8 @@ const LaneNode* PersistentTier::Level1Pred(uint64_t target, int s) const {
   return p;
 }
 
-uint64_t* PersistentTier::FindL0Slot(uint64_t target, int socket_hint) const {
-  const LaneNode* p = Level1Pred(target, LaneSocket(socket_hint));
+uint64_t* PersistentTier::FindL0Slot(uint64_t target) const {
+  const LaneNode* p = Level1Pred(target);
   // Drop to the global L0 list: from the L0 head below a lane head, else
   // from the lane node's PM node, whose key is below the target.
   uint64_t* slot = &tier_root()->head0;
@@ -445,9 +431,8 @@ uint64_t* PersistentTier::FindL0Slot(uint64_t target, int socket_hint) const {
   return slot;
 }
 
-bool PersistentTier::Get(uint64_t key, uint64_t* packed,
-                         int socket_hint) const {
-  uint64_t* slot = FindL0Slot(key, socket_hint);
+bool PersistentTier::Get(uint64_t key, uint64_t* packed) const {
+  uint64_t* slot = FindL0Slot(key);
   const uint64_t nxt = LoadLink(slot);
   if (nxt == 0) return false;
   const TierNode* n = NodeAt(nxt);
@@ -458,10 +443,8 @@ bool PersistentTier::Get(uint64_t key, uint64_t* packed,
 }
 
 size_t PersistentTier::Gather(uint64_t start, size_t want,
-                              std::vector<uint64_t>* out, int socket_hint,
-                              uint64_t* nodes_read,
+                              std::vector<uint64_t>* out,
                               std::vector<uint64_t>* packed) const {
-  if (nodes_read != nullptr) *nodes_read = 0;
   if (want == 0) return 0;
   constexpr uint64_t kToEnd = UINT64_MAX;
 
@@ -500,7 +483,7 @@ size_t PersistentTier::Gather(uint64_t start, size_t want,
   // Segment 0 holds `start`: it runs from the descent's lane node (whose
   // own key is below start) or from the L0 head. Its count is taken as if
   // all of it were >= start; the shortfall shows when it ends.
-  const LaneNode* next_head = Level1Pred(start, LaneSocket(socket_hint));
+  const LaneNode* next_head = Level1Pred(start);
   auto plan = [&] {
     if (!chains.empty() && chains.back().take != kToEnd &&
         !at_end(chains.back())) {
@@ -596,23 +579,20 @@ size_t PersistentTier::Gather(uint64_t start, size_t want,
     out->push_back(found[i].first);
     if (packed != nullptr) packed->push_back(found[i].second);
   }
-  if (nodes_read != nullptr) *nodes_read = found.size();
   return n;
 }
 
 std::string PersistentTier::DebugLanes() const {
   std::ostringstream os;
-  for (int s = 0; s < num_sockets_; s++) {
-    os << "socket " << s << " head #" << LoadCount(heads_[s]) << "\n";
-    for (int l = 1; l < kMaxHeight; l++) {
-      os << " L" << l << ":";
-      for (const LaneNode* p = LoadLane(heads_[s]->next(l)); p != nullptr;
-           p = LoadLane(p->next(l))) {
-        os << ' ' << p->key << '@' << p->off;
-        if (l == 1) os << '#' << LoadCount(p);
-      }
-      os << "\n";
+  os << "head #" << LoadCount(head_) << "\n";
+  for (int l = 1; l < kMaxHeight; l++) {
+    os << "L" << l << ":";
+    for (const LaneNode* p = LoadLane(head_->next(l)); p != nullptr;
+         p = LoadLane(p->next(l))) {
+      os << ' ' << p->key << '@' << p->off;
+      if (l == 1) os << '#' << LoadCount(p);
     }
+    os << "\n";
   }
   return os.str();
 }

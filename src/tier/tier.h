@@ -1,6 +1,6 @@
 // Ordered persistent tier: a persistent skiplist whose nodes alias value
 // bytes still sitting in converted ("tiered") OpLog chunks, with its
-// express lanes braided per socket in DRAM.
+// express lanes in DRAM.
 //
 // The tier is FlatStore's answer to two linear costs of a pure log
 // (DESIGN.md §11): recovery replaying every log byte, and range scans
@@ -24,10 +24,12 @@
 //     high-water mark is persisted and fenced before any reserved byte is
 //     written. A crash can leak reserved-but-unlinked bytes; it can never
 //     let a later allocation overwrite a published node.
-//   * The braided express lanes above L0 are volatile: DRAM lane nodes,
+//   * The express lanes above L0 are volatile: DRAM lane nodes,
 //     one per PM node of height >= 2, rebuilt from the L0 walk on every
 //     open — the same volatile-index-over-persistent-log split as the
-//     engine itself. No lane store touches PM.
+//     engine itself. No lane store touches PM. One lane set covers every
+//     node; a node's home socket decides only which socket's arena
+//     chunks hold it.
 //   * In-place updates of an existing key touch exactly one 8-byte
 //     `packed` word (atomic store + persist), so they are tear-proof.
 //
@@ -48,6 +50,7 @@
 #include "alloc/lazy_allocator.h"
 #include "common/logging.h"
 #include "pm/pm_pool.h"
+#include "vt/costs.h"
 
 namespace flatstore {
 namespace tier {
@@ -55,13 +58,9 @@ namespace tier {
 inline constexpr uint64_t kTierMagic = 0x11E2F1A757025Bull;
 
 // Max skiplist height. With branching factor 4 (NodeHeight below), height
-// 12 indexes ~4^11 ≈ 4M nodes per socket lane — plenty for the simulated
-// pool sizes this engine targets.
+// 12 indexes ~4^11 ≈ 4M nodes — plenty for the simulated pool sizes this
+// engine targets.
 inline constexpr int kMaxHeight = 12;
-
-// Upper bound on per-socket lane sets kept by the braid (matches the vt
-// cost model's kMaxSockets).
-inline constexpr int kMaxLaneSockets = 4;
 
 // One persistent skiplist node: 32 bytes, 32-byte aligned in the arena,
 // so a node never straddles a cache line. `next` is the single global L0
@@ -80,9 +79,8 @@ struct TierNode {
 static_assert(sizeof(TierNode) == 32, "tier nodes are one half cache line");
 
 // Deterministic node height from the key (splitmix64 finalizer, branching
-// factor 1/4). Nodes of height >= 2 get a DRAM lane node on their home
-// socket's lanes. Determinism makes recovery rebuild identical lane
-// shapes.
+// factor 1/4). Nodes of height >= 2 get a DRAM lane node. Determinism
+// makes recovery rebuild identical lane shapes.
 inline int NodeHeight(uint64_t key) {
   uint64_t z = key * 0x9E3779B97F4A7C15ull;
   z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -114,9 +112,8 @@ struct ArenaHeader {
 // superblock's tier_root_off points at that chunk.
 struct TierRoot {
   uint64_t magic;
-  uint64_t head0;       // L0 head node offset (0 = empty tier)
-  uint64_t node_count;  // advisory; recomputed from the L0 walk on open
-  uint64_t reserved;    // keeps the first node 32-byte aligned
+  uint64_t head0;        // L0 head node offset (0 = empty tier)
+  uint64_t reserved[2];  // keeps the first node 32-byte aligned
 };
 
 // One key to merge into the tier.
@@ -126,7 +123,7 @@ struct TierEntry {
   int home_socket;
 };
 
-// A socket's DRAM express-lane node (defined in tier.cc).
+// A DRAM express-lane node (defined in tier.cc).
 struct LaneNode;
 
 class PersistentTier {
@@ -163,8 +160,8 @@ class PersistentTier {
   // Existing keys take the tear-proof in-place packed update; new keys
   // get freshly reserved nodes with per-node persist-before-publish on
   // the L0 link. The same merge sweep splices each new node of height
-  // >= 2 into its socket's DRAM lanes and keeps every socket's segment
-  // counts exact, charging each lane node it touches as a cache miss.
+  // >= 2 into the DRAM lanes and keeps the segment counts exact, charging
+  // each lane node it touches as a cache miss.
   // One trailing fence covers the batch's deferred persists; the caller's
   // conversion commit (SetChunkTiered) happens after this returns. Single
   // mutator only. Returns false (with no partial batch published beyond
@@ -172,9 +169,8 @@ class PersistentTier {
   // cannot grow the arena.
   bool InsertBatch(const TierEntry* entries, size_t n);
 
-  // Point lookup. `socket_hint` picks which socket's express lanes to
-  // ride (any value is correct; the key's home socket is fastest).
-  bool Get(uint64_t key, uint64_t* packed, int socket_hint = 0) const;
+  // Point lookup.
+  bool Get(uint64_t key, uint64_t* packed) const;
 
   // Appends to `*out`, in key order, the first `want` keys >= `start`
   // (fewer only when the tier runs out), and — when `packed` is non-null
@@ -183,27 +179,24 @@ class PersistentTier {
   // caller may serve only behind its own freshness rule (the engine's
   // delta sets, DESIGN.md §11.4).
   //
-  // Socket `socket_hint`'s level-1 lane cuts L0 into segments (a lane
-  // holds only its socket's nodes, so on several sockets the segments are
-  // longer but still partition L0). Gather descends the DRAM lanes to the
-  // segment holding `start`, then plans from the segment counts exactly
-  // which segments cover `want` keys: every planned segment is read to
-  // its end except the last, which is cut at the keys still owed. Each
-  // planned segment is an independent chain whose head offset the lane
-  // node already holds; every round issues one node read per unfinished
-  // chain (at most vt::kMemParallelism, longest first) at one vt instant
-  // and waits for the slowest. A segment that delivers fewer keys than
-  // planned (the start segment's keys below `start`, or a count a
-  // concurrent InsertBatch made stale) extends the plan from the lane, so
-  // a stale count costs reads, never a key. With current counts a call
-  // reads exactly min(want, available) keys >= `start`; `nodes_read`
-  // (optional) receives how many it read.
+  // The level-1 lane cuts L0 into segments. Gather descends the DRAM
+  // lanes to the segment holding `start`, then plans from the segment
+  // counts exactly which segments cover `want` keys: every planned segment
+  // is read to its end except the last, which is cut at the keys still
+  // owed. Each planned segment is an independent chain whose head offset
+  // the lane node already holds; every round issues one node read per
+  // unfinished chain (at most vt::kMemParallelism, longest first) at one
+  // vt instant and waits for the slowest. A segment that delivers fewer
+  // keys than planned (the start segment's keys below `start`, or a count
+  // a concurrent InsertBatch made stale) extends the plan from the lane,
+  // so a stale count costs reads, never a key. With current counts a call
+  // reads exactly min(want, available) keys >= `start`, plus the start
+  // segment's nodes below `start`.
   size_t Gather(uint64_t start, size_t want, std::vector<uint64_t>* out,
-                int socket_hint = 0, uint64_t* nodes_read = nullptr,
                 std::vector<uint64_t>* packed = nullptr) const;
 
-  // Renders every socket's lanes — each level's keys and PM offsets, and
-  // every segment count — as text. Tests compare a maintained tier against
+  // Renders the lanes — each level's keys and PM offsets, and every
+  // segment count — as text. Tests compare a maintained tier against
   // a freshly opened one; not for serving paths.
   std::string DebugLanes() const;
 
@@ -221,23 +214,15 @@ class PersistentTier {
     return pool_->PtrAt<TierNode>(off);
   }
 
-  // DRAM descent down socket `s`'s lanes: returns the last level-1 lane
-  // node with key < target, or the socket's lane head. Charges one cache
-  // miss per distinct lane node compared.
-  const LaneNode* Level1Pred(uint64_t target, int s) const;
+  // DRAM descent down the lanes: returns the last level-1 lane node with
+  // key < target, or the lane head. Charges one cache miss per distinct
+  // lane node compared.
+  const LaneNode* Level1Pred(uint64_t target) const;
 
   // Full descent: returns the address of the L0 link slot whose successor
   // is the first node with key >= target (the slot lives either in
   // TierRoot::head0 or in a node's next).
-  uint64_t* FindL0Slot(uint64_t target, int socket_hint) const;
-
-  int LaneSocket(int socket_hint) const {
-    return ((socket_hint % num_sockets_) + num_sockets_) % num_sockets_;
-  }
-  int LaneOf(const TierNode* n) const {
-    return static_cast<int>(n->home_socket %
-                            static_cast<uint32_t>(num_sockets_));
-  }
+  uint64_t* FindL0Slot(uint64_t target) const;
 
   // Bump-allocates a lane node with null links and a zero count.
   LaneNode* NewLaneNode(uint64_t key, uint64_t off, int height);
@@ -261,12 +246,12 @@ class PersistentTier {
   std::vector<uint64_t> arena_chunks_;  // chain mirror, head first
   uint64_t arena_global_tail_;          // last chunk in the chain
   // Per-socket allocation tail chunk (0 = none yet).
-  uint64_t socket_tail_[kMaxLaneSockets] = {};
+  uint64_t socket_tail_[vt::kMaxSockets] = {};
 
-  // DRAM lanes, one set per socket, rebuilt on open. Lane nodes live in
-  // bump blocks freed only with the tier, so a reader never sees one
-  // vanish; only the mutator allocates.
-  LaneNode* heads_[kMaxLaneSockets] = {};
+  // DRAM lanes over every node, rebuilt on open. Lane nodes live in bump
+  // blocks freed only with the tier, so a reader never sees one vanish;
+  // only the mutator allocates.
+  LaneNode* head_ = nullptr;
   std::vector<std::unique_ptr<uint64_t[]>> lane_blocks_;
   uint64_t lane_block_used_ = 0;  // bytes used in lane_blocks_.back()
   uint64_t lane_bytes_ = 0;

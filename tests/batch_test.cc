@@ -10,6 +10,7 @@
 
 #include "batch/hb_engine.h"
 #include "log/log_reader.h"
+#include "vt/clock.h"
 
 namespace flatstore {
 namespace batch {
@@ -46,6 +47,21 @@ class HbEngineTest : public ::testing::Test {
     return eng.StageBatch(core, &ref, 1, handle);
   }
 
+  // Pumps `core`'s persist steps until `handle` completes, fills its log
+  // offset and moves a bound clock to its completion time. The spin bound
+  // turns a live-lock into a test failure instead of a hang.
+  static void PersistUntilDone(HbEngine& eng, int core, uint64_t handle,
+                               uint64_t* off) {
+    constexpr int kMaxSpins = 1 << 16;
+    uint64_t done = 0;
+    for (int spins = 0; !eng.IsDone(core, handle, off, &done); spins++) {
+      ASSERT_LT(spins, kMaxSpins)
+          << "handle " << handle << " on core " << core << " never completed";
+      eng.TryPersist(core);
+    }
+    if (vt::Clock* clock = vt::CurrentClock()) clock->AdvanceTo(done);
+  }
+
   // Encodes a ptr entry for `key`.
   static std::vector<uint8_t> Entry(uint64_t key) {
     std::vector<uint8_t> buf(log::kPtrEntrySize);
@@ -64,7 +80,8 @@ TEST_F(HbEngineTest, StageAndWaitRoundTrip) {
   auto e = Entry(42);
   uint64_t h;
   ASSERT_TRUE(StageOne(*eng, 0, e, &h));
-  auto [off, done] = eng->Wait(0, h);
+  uint64_t off = 0;
+  ASSERT_NO_FATAL_FAILURE(PersistUntilDone(*eng, 0, h, &off));
   EXPECT_NE(off, 0u);
   // The entry is really in core 0's log.
   log::DecodedEntry d;
@@ -132,7 +149,7 @@ TEST_F(HbEngineTest, BatchingAmortizesLineFlushes) {
     log::OpLog::EntryRef ref{dummy, log::kPtrEntrySize};
     uint64_t off;
     ASSERT_TRUE(logs_[c]->AppendBatch(&ref, 1, &off));  // allocate chunk c
-    eng->Wait(c, h);
+    ASSERT_NO_FATAL_FAILURE(PersistUntilDone(*eng, c, h, &off));
     eng->Release(c, h);
   }
 

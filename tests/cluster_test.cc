@@ -64,9 +64,7 @@ TEST(Cluster, SingleShardMatchesRunServerExactly) {
   const ServerResult server = RunServer(solo.adapter.get(), cfg);
 
   Node shard = MakeNode();
-  ClusterConfig ccfg;
-  ccfg.server = cfg;
-  const ClusterResult cluster = RunCluster({shard.adapter.get()}, ccfg);
+  const ClusterResult cluster = RunCluster({shard.adapter.get()}, cfg);
 
   EXPECT_EQ(cluster.ops, server.ops);
   EXPECT_EQ(cluster.sim_ns, server.sim_ns);
@@ -83,10 +81,8 @@ TEST(Cluster, TwoShardsConserveOpsAndPartitionKeys) {
 
   Node a = MakeNode();
   Node b = MakeNode();
-  ClusterConfig ccfg;
-  ccfg.server = cfg;
   const ClusterResult result =
-      RunCluster({a.adapter.get(), b.adapter.get()}, ccfg);
+      RunCluster({a.adapter.get(), b.adapter.get()}, cfg);
 
   // Every issued request completed somewhere, exactly once.
   const uint64_t expected =
@@ -98,8 +94,8 @@ TEST(Cluster, TwoShardsConserveOpsAndPartitionKeys) {
   EXPECT_GT(result.shards[1].ops, 0u);
 
   // Each written key lives on the shard the router names — and only
-  // there. The test ring must match RunCluster's (same vnodes + seed).
-  net::ShardRouter router(ccfg.router_vnodes);
+  // there. The test ring must match RunCluster's (default vnodes + seed).
+  net::ShardRouter router;
   router.AddShard(0);
   router.AddShard(1);
   uint64_t checked = 0;
@@ -123,10 +119,8 @@ TEST(Cluster, OpenLoopAggregatesAcrossShards) {
 
   Node a = MakeNode();
   Node b = MakeNode();
-  ClusterConfig ccfg;
-  ccfg.server = cfg;
   const ClusterResult result =
-      RunCluster({a.adapter.get(), b.adapter.get()}, ccfg);
+      RunCluster({a.adapter.get(), b.adapter.get()}, cfg);
 
   const uint64_t expected =
       static_cast<uint64_t>(cfg.num_conns) * cfg.ops_per_conn;

@@ -6,6 +6,7 @@
 #include "core/flatstore.h"
 #include "core/fsck.h"
 #include "tier/tier.h"
+#include "vt/costs.h"
 
 namespace flatstore {
 namespace core {
@@ -189,7 +190,7 @@ TEST(Fsck, DetectsCorruptTierNode) {
       store->tier()->root_off() + alloc::kChunkHeaderSize +
       sizeof(tier::ArenaHeader));
   auto* node = pool->PtrAt<tier::TierNode>(root->head0);
-  node->home_socket = tier::kMaxLaneSockets + 3;
+  node->home_socket = vt::kMaxSockets + 3;
   FsckReport r = FsckPool(*pool);
   EXPECT_FALSE(r.ok);
   bool flagged = false;

@@ -79,7 +79,9 @@ TEST_P(TwoPhaseLookupTest, AgreesWithGetIncludingAbsentKeys) {
     index::LookupHint hint;
     idx->PrefetchGet(k, &hint);
     ASSERT_EQ(idx->GetWithHint(k, hint, &hinted), found) << "key " << k;
-    if (found) EXPECT_EQ(hinted, direct) << "key " << k;
+    if (found) {
+      EXPECT_EQ(hinted, direct) << "key " << k;
+    }
   }
 }
 

@@ -91,7 +91,9 @@ TEST_P(TwoPhaseInsertTest, AgreesWithUpsert) {
       hinted->PrefetchInsert(k, &hint);
       const bool existed_h = hinted->InsertWithHint(k, v, &old_h, hint);
       ASSERT_EQ(existed_h, existed_p) << "key " << k << " round " << round;
-      if (existed_p) EXPECT_EQ(old_h, old_p) << "key " << k;
+      if (existed_p) {
+        EXPECT_EQ(old_h, old_p) << "key " << k;
+      }
     }
   }
   for (uint64_t k = 0; k < 600; k++) {
@@ -249,7 +251,9 @@ TEST_P(MultiPutTest, BatchMatchesSequenceOfSingles) {
     const bool fb = batched.store->Get(k, &vb);
     const bool fs = single.store->Get(k, &vs);
     ASSERT_EQ(fb, fs) << "key " << k;
-    if (fb) EXPECT_EQ(vb, vs) << "key " << k;
+    if (fb) {
+      EXPECT_EQ(vb, vs) << "key " << k;
+    }
   }
 }
 

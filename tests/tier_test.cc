@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <functional>
 #include <map>
 #include <optional>
 #include <random>
@@ -411,11 +412,14 @@ TEST(Tier, RepeatedConversionAcrossReopens) {
 
 // A tier on its own, without an engine: the tier never interprets the
 // `packed` words, so the tests below feed it synthetic ones.
+// `pool_sockets` > 1 splits the pool into socket spans; allocator core s
+// then draws chunks from socket s's span.
 struct TierRig {
-  explicit TierRig(int sockets) {
+  explicit TierRig(int sockets, int pool_sockets = 1) {
     constexpr uint64_t kRegion = 64ull << 20;
     pm::PmPool::Options o;
     o.size = kRegion + alloc::kChunkSize;  // chunk 0 stands in for a superblock
+    o.num_sockets = pool_sockets;
     pool = std::make_unique<pm::PmPool>(o);
     allocator = std::make_unique<alloc::LazyAllocator>(
         pool.get(), alloc::kChunkSize, kRegion, 2);
@@ -455,9 +459,21 @@ struct TierRig {
   int num_sockets;
 };
 
+// Gather's node reads are its only charged PM reads, so with a clock
+// bound the PmStats read delta counts them.
+uint64_t ReadsDuring(pm::PmPool* pool, const std::function<void()>& fn) {
+  vt::Clock clock;
+  vt::ScopedClock bind(&clock);
+  const uint64_t before = pool->stats().Get().reads;
+  fn();
+  return pool->stats().Get().reads - before;
+}
+
 // Gather must return exactly what an in-order walk yields from `start`,
-// from any start, for any window, whichever socket's lanes it rides —
-// and, with current segment counts, read exactly the window's keys.
+// from any start, for any window — and, with current segment counts, read
+// exactly the window's keys plus the start segment's nodes below `start`.
+// That segment begins at the last node of height >= 2 below `start`, or
+// at the L0 head.
 TEST(TierGather, MatchesForEachFromAnyStart) {
   for (int sockets : {1, 2}) {
     SCOPED_TRACE(sockets);
@@ -465,39 +481,78 @@ TEST(TierGather, MatchesForEachFromAnyStart) {
     const std::vector<uint64_t> keys = rig.Fill(3000, 7);
     const std::vector<uint64_t> all = rig.All();
     ASSERT_EQ(all, keys);
-    auto check = [&](uint64_t start, size_t want, int hint) {
+    auto check = [&](uint64_t start, size_t want) {
       std::vector<uint64_t> got{42};  // Gather appends
-      uint64_t read = 0;
-      const size_t n = rig.tier->Gather(start, want, &got, hint, &read);
+      size_t n = 0;
+      const uint64_t read = ReadsDuring(rig.pool.get(), [&] {
+        n = rig.tier->Gather(start, want, &got);
+      });
       const auto first = std::lower_bound(all.begin(), all.end(), start);
       const size_t avail = static_cast<size_t>(all.end() - first);
       std::vector<uint64_t> expect{42};
       expect.insert(expect.end(), first, first + std::min(want, avail));
       ASSERT_EQ(n, expect.size() - 1) << start << " want=" << want;
       ASSERT_EQ(got, expect) << start << " want=" << want;
-      ASSERT_EQ(read, std::min(want, avail)) << start << " want=" << want;
+      const size_t lo = static_cast<size_t>(first - all.begin());
+      size_t seg = lo;  // one past the start segment's head, 0 = L0 head
+      while (seg > 0 && tier::NodeHeight(all[seg - 1]) < 2) seg--;
+      const size_t below = seg == 0 ? lo : lo - seg + 1;
+      ASSERT_EQ(read, below + std::min(want, avail))
+          << start << " want=" << want;
     };
     std::mt19937_64 rng(static_cast<uint64_t>(sockets));
     for (size_t want = 1; want <= 200; want++) {
-      for (int hint = 0; hint < sockets; hint++) {
-        check(rng() % (all.back() + 100), want, hint);  // between keys
-        check(all[rng() % all.size()], want, hint);     // on a key
-      }
+      check(rng() % (all.back() + 100), want);  // between keys
+      check(all[rng() % all.size()], want);     // on a key
     }
-    check(0, all.size() + 10, 0);     // the whole tier, and then some
-    check(all.back(), 50, sockets - 1);  // the last key only
-    check(all.back() + 1, 50, 0);     // past the last key
-    check(UINT64_MAX, 1, 0);
+    check(0, all.size() + 10);  // the whole tier, and then some
+    check(all.back(), 50);      // the last key only
+    check(all.back() + 1, 50);  // past the last key
+    check(UINT64_MAX, 1);
   }
 }
 
 TEST(TierGather, EmptyTier) {
   TierRig rig(2);
   std::vector<uint64_t> got;
-  uint64_t read = 7;
-  EXPECT_EQ(rig.tier->Gather(0, 10, &got, 1, &read), 0u);
+  const uint64_t read = ReadsDuring(rig.pool.get(), [&] {
+    EXPECT_EQ(rig.tier->Gather(0, 10, &got), 0u);
+  });
   EXPECT_TRUE(got.empty());
   EXPECT_EQ(read, 0u);
+}
+
+// Arena placement: a node is allocated from a chunk of its home socket,
+// so on a 2-socket pool its PM offset sits in TierEntry::home_socket's
+// span (Fill homes key k on socket (k >> 4) % 2) — also for the nodes a
+// reopened tier allocates.
+TEST(TierPlacement, NodesLandOnTheirHomeSocket) {
+  TierRig rig(2, /*pool_sockets=*/2);
+  const auto* root = rig.pool->PtrAt<tier::TierRoot>(
+      rig.tier->root_off() + alloc::kChunkHeaderSize +
+      sizeof(tier::ArenaHeader));
+  auto check = [&] {
+    uint64_t per_socket[2] = {0, 0};
+    for (uint64_t off = root->head0; off != 0;) {
+      const auto* n = rig.pool->PtrAt<tier::TierNode>(off);
+      ASSERT_EQ(n->home_socket, (n->key >> 4) % 2) << n->key;
+      ASSERT_EQ(rig.pool->SocketOf(off), static_cast<int>(n->home_socket))
+          << "node " << n->key << " at " << off;
+      per_socket[n->home_socket]++;
+      off = n->next;
+    }
+    EXPECT_EQ(per_socket[0] + per_socket[1], rig.tier->node_count());
+    EXPECT_GT(per_socket[0], 0u);
+    EXPECT_GT(per_socket[1], 0u);
+  };
+  rig.Fill(3000, 1);
+  check();
+  rig.tier = tier::PersistentTier::Open(rig.pool.get(), rig.allocator.get(),
+                                        2, {0, 1}, rig.tier->root_off(),
+                                        nullptr);
+  check();
+  rig.Fill(3000, 2);  // new keys thread between the reopened tier's nodes
+  check();
 }
 
 // The point of the gather: its node reads overlap, so it charges far less
@@ -608,7 +663,7 @@ TEST(TierLanes, GatherRacesInsertBatch) {
         const uint64_t start = r() % (kKeys * 3 + 10);
         const size_t want = 1 + r() % 150;
         got.clear();
-        rig.tier->Gather(start, want, &got, static_cast<int>(r() % 2));
+        rig.tier->Gather(start, want, &got);
         gathers.fetch_add(1, std::memory_order_release);
         ASSERT_LE(got.size(), want);
         for (size_t j = 0; j < got.size(); j++) {
