@@ -11,7 +11,6 @@
 #include "index/cceh.h"
 #include "index/fast_fair.h"
 #include "index/masstree.h"
-#include "index/numa_sharded_index.h"
 #include "log/log_reader.h"
 #include "vt/clock.h"
 #include "vt/costs.h"
@@ -143,55 +142,31 @@ void FlatStore::BuildIndexes() {
   indexes_.clear();
   const int sockets = pool_->num_sockets();
   const bool place = options_.socket_local_placement && sockets > 1;
-  // Non-placed volatile nodes: socket-agnostic on single-socket pools
-  // (the historical model, zero surcharge), page-interleaved on
-  // multi-socket pools with placement off (half the remote surcharge on
-  // every node miss — the A/B baseline).
-  const int spread_home =
-      sockets > 1 ? vt::kSocketInterleaved : vt::kSocketNone;
+  // Spread home: socket-agnostic on single-socket pools (the historical
+  // model, zero surcharge), page-interleaved on multi-socket pools (half
+  // the remote surcharge on every node miss). Non-placed CCEH partitions
+  // and the one global tree live there.
+  index::PmContext spread;
+  spread.home_socket = sockets > 1 ? vt::kSocketInterleaved : vt::kSocketNone;
   switch (options_.index) {
     case IndexKind::kHash:
       // Per-core CCEH partitions: with placement on, each partition is
       // homed on its core's socket, so the serving core's probes are
       // always local.
       for (int c = 0; c < options_.num_cores; c++) {
-        index::PmContext ctx;
-        ctx.home_socket = place ? SocketForCore(c) : spread_home;
+        index::PmContext ctx = spread;
+        if (place) ctx.home_socket = SocketForCore(c);
         indexes_.push_back(std::make_unique<index::Cceh>(
             ctx, options_.hash_initial_depth));
       }
       break;
+    // One global tree (paper §4.2) whatever the placement: every core
+    // probes it, so no one socket is its local one.
     case IndexKind::kMasstree:
-      if (place) {
-        std::vector<std::unique_ptr<index::OrderedKvIndex>> shards;
-        for (int s = 0; s < sockets; s++) {
-          index::PmContext ctx;
-          ctx.home_socket = s;
-          shards.push_back(std::make_unique<index::Masstree>(ctx));
-        }
-        indexes_.push_back(std::make_unique<index::NumaShardedIndex>(
-            std::move(shards), options_.num_cores, kRoutingSeed));
-      } else {
-        index::PmContext ctx;
-        ctx.home_socket = spread_home;
-        indexes_.push_back(std::make_unique<index::Masstree>(ctx));
-      }
+      indexes_.push_back(std::make_unique<index::Masstree>(spread));
       break;
     case IndexKind::kFastFairVolatile:
-      if (place) {
-        std::vector<std::unique_ptr<index::OrderedKvIndex>> shards;
-        for (int s = 0; s < sockets; s++) {
-          index::PmContext ctx;
-          ctx.home_socket = s;
-          shards.push_back(std::make_unique<index::FastFair>(ctx));
-        }
-        indexes_.push_back(std::make_unique<index::NumaShardedIndex>(
-            std::move(shards), options_.num_cores, kRoutingSeed));
-      } else {
-        index::PmContext ctx;
-        ctx.home_socket = spread_home;
-        indexes_.push_back(std::make_unique<index::FastFair>(ctx));
-      }
+      indexes_.push_back(std::make_unique<index::FastFair>(spread));
       break;
   }
 }

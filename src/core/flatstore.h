@@ -90,14 +90,14 @@ struct FlatStoreOptions {
   // unaffected either way). On: each core's log segments and value blocks
   // come from its own socket's chunk pool (the allocator's default), HB
   // groups never straddle a socket boundary (a leader always persists to
-  // DIMMs on its own socket), and the volatile indexes are homed
-  // per-socket — per-core CCEH partitions carry their core's socket, the
-  // tree indexes become a NUMA-braided per-socket forest. Off: PM chunks
-  // are dealt round-robin across sockets (interleaved first-touch — about
-  // half of every core's persists cross the link), indexes are built
+  // DIMMs on its own socket), and each per-core CCEH partition is homed
+  // on its core's socket. Off: PM chunks are dealt round-robin across
+  // sockets (interleaved first-touch — about half of every core's
+  // persists cross the link), CCEH partitions are built
   // socket-interleaved (every node miss pays half the remote surcharge),
   // and group alignment is not enforced — the placement-off arm of the
-  // scaling A/B.
+  // scaling A/B. The one global tree of FlatStore-M/-FF is
+  // socket-interleaved on a multi-socket pool either way.
   bool socket_local_placement = true;
   // Ordered persistent tier (DESIGN.md §11). Opt-in: when on, the
   // tiering pass (RunTieringOnce / the cleaner-driven background flow)

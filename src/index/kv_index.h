@@ -96,8 +96,7 @@ struct KvPair {
 // mutation by the owning writer (GetWithHint revalidates cheaply and
 // falls back to a plain probe when stale).
 struct LookupHint {
-  uint64_t hash = 0;         // primary hash (hash indexes)
-  uint64_t hash2 = 0;        // secondary hash (level hashing)
+  uint64_t hash = 0;         // key hash (CCEH)
   const void* node = nullptr;  // located bucket/segment/leaf
   bool valid = false;        // phase A located something prefetchable
 };

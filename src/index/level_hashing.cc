@@ -34,11 +34,11 @@ LevelHashing::Bucket& LevelHashing::Cand(bool top, int which,
   return BucketAt(top, which == 0 ? HashKey(key) : HashKey2(key));
 }
 
-LevelHashing::SlotRef LevelHashing::FindSlotHashed(uint64_t key, uint64_t h1,
-                                                   uint64_t h2) const {
+LevelHashing::SlotRef LevelHashing::FindSlot(uint64_t key) const {
+  vt::Charge(2 * vt::kCpuHash);
   for (bool top : {true, false}) {
-    for (uint64_t h : {h1, h2}) {
-      Bucket& b = BucketAt(top, h);
+    for (int which = 0; which < 2; which++) {
+      Bucket& b = Cand(top, which, key);
       arena_.ctx().ChargeNodeRead(&b);
       for (int i = 0; i < kSlots; i++) {
         vt::Charge(vt::kCpuSlotProbe);
@@ -47,11 +47,6 @@ LevelHashing::SlotRef LevelHashing::FindSlotHashed(uint64_t key, uint64_t h1,
     }
   }
   return {};
-}
-
-LevelHashing::SlotRef LevelHashing::FindSlot(uint64_t key) const {
-  vt::Charge(2 * vt::kCpuHash);
-  return FindSlotHashed(key, HashKey(key), HashKey2(key));
 }
 
 bool LevelHashing::TryInsert(Bucket& bucket, uint64_t key, uint64_t value) {
@@ -100,16 +95,8 @@ bool LevelHashing::TryMove(Bucket& bucket, bool top) {
 
 bool LevelHashing::InsertNoResize(uint64_t key, uint64_t value,
                                   uint64_t* old_value, bool* updated) {
-  vt::Charge(2 * vt::kCpuHash);
-  return InsertNoResizeHashed(key, value, old_value, updated, HashKey(key),
-                              HashKey2(key));
-}
-
-bool LevelHashing::InsertNoResizeHashed(uint64_t key, uint64_t value,
-                                        uint64_t* old_value, bool* updated,
-                                        uint64_t h1, uint64_t h2) {
   // In-place update.
-  SlotRef ref = FindSlotHashed(key, h1, h2);
+  SlotRef ref = FindSlot(key);
   if (ref.bucket != nullptr) {
     *old_value = ref.bucket->values[ref.slot];
     *updated = true;
@@ -120,14 +107,14 @@ bool LevelHashing::InsertNoResizeHashed(uint64_t key, uint64_t value,
   }
   // Top candidates first (reads prefer the top level), then bottom.
   for (bool top : {true, false}) {
-    for (uint64_t h : {h1, h2}) {
-      if (TryInsert(BucketAt(top, h), key, value)) return true;
+    for (int which = 0; which < 2; which++) {
+      if (TryInsert(Cand(top, which, key), key, value)) return true;
     }
   }
   // Conflict: movement within each candidate bucket's level.
   for (bool top : {true, false}) {
-    for (uint64_t h : {h1, h2}) {
-      Bucket& b = BucketAt(top, h);
+    for (int which = 0; which < 2; which++) {
+      Bucket& b = Cand(top, which, key);
       if (TryMove(b, top) && TryInsert(b, key, value)) return true;
     }
   }
@@ -188,71 +175,6 @@ bool LevelHashing::Get(uint64_t key, uint64_t* value) const {
   *value = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
                .load(std::memory_order_acquire);
   return true;
-}
-
-void LevelHashing::PrefetchGet(uint64_t key, LookupHint* hint) const {
-  vt::Charge(2 * vt::kCpuHash);
-  hint->hash = HashKey(key);
-  hint->hash2 = HashKey2(key);
-  for (bool top : {true, false}) {
-    for (uint64_t h : {hint->hash, hint->hash2}) {
-      __builtin_prefetch(&BucketAt(top, h), 0, 3);
-    }
-  }
-  vt::Charge(4 * vt::kPrefetchIssueCost);
-  hint->node = top_;  // resize swaps levels; used as a freshness stamp
-  hint->valid = true;
-}
-
-bool LevelHashing::GetWithHint(uint64_t key, const LookupHint& hint,
-                               uint64_t* value) const {
-  if (!hint.valid || hint.node != top_) {
-    return KvIndex::GetWithHint(key, hint, value);
-  }
-  SlotRef ref = FindSlotHashed(key, hint.hash, hint.hash2);
-  if (ref.bucket == nullptr) return false;
-  *value = std::atomic_ref<uint64_t>(ref.bucket->values[ref.slot])
-               .load(std::memory_order_acquire);
-  return true;
-}
-
-void LevelHashing::PrefetchInsert(uint64_t key, LookupHint* hint) const {
-  vt::Charge(2 * vt::kCpuHash);
-  hint->hash = HashKey(key);
-  hint->hash2 = HashKey2(key);
-  for (bool top : {true, false}) {
-    for (uint64_t h : {hint->hash, hint->hash2}) {
-      // Prefetch for write: the upsert will dirty one candidate line.
-      __builtin_prefetch(&BucketAt(top, h), 1, 3);
-    }
-  }
-  vt::Charge(4 * vt::kPrefetchIssueCost);
-  hint->node = top_;  // resize swaps levels; used as a freshness stamp
-  hint->valid = true;
-}
-
-bool LevelHashing::InsertWithHint(uint64_t key, uint64_t value,
-                                  uint64_t* old_value,
-                                  const LookupHint& hint) {
-  FLATSTORE_DCHECK(key != kReservedKey);
-  LockGuard<SpinLock> g(mutate_lock_);
-  // A resize between the phases swapped the levels (an earlier
-  // InsertWithHint of the same batch may have triggered it): the stamp is
-  // stale and the prefetched lines are the wrong buckets — take the
-  // serial full upsert. The precomputed hashes themselves survive
-  // resizes, so the retry loop below never rehashes.
-  if (!hint.valid || hint.node != top_) {
-    vt::ScopedOverlap serial(1);
-    bool updated = false;
-    while (!InsertNoResize(key, value, old_value, &updated)) Resize();
-    return updated;
-  }
-  bool updated = false;
-  while (!InsertNoResizeHashed(key, value, old_value, &updated, hint.hash,
-                               hint.hash2)) {
-    Resize();
-  }
-  return updated;
 }
 
 bool LevelHashing::Erase(uint64_t key, uint64_t* old_value) {

@@ -82,7 +82,7 @@ uint64_t RootArea::RegisterChunk(uint64_t chunk_off, int core, uint32_t seq,
       vt::Charge(vt::kCpuCas);
       {
         LockGuard<SpinLock> g(mirror_lock_);
-        mirror_[chunk_off] = {core, seq, false};
+        mirror_[chunk_off] = {core, seq};
       }
       return s;
     }
@@ -112,12 +112,6 @@ bool RootArea::ChunkInfo(uint64_t chunk_off, int* core, uint32_t* seq) const {
   return true;
 }
 
-bool RootArea::ChunkTiered(uint64_t chunk_off) const {
-  LockGuard<SpinLock> g(mirror_lock_);
-  auto it = mirror_.find(chunk_off);
-  return it != mirror_.end() && it->second.tiered;
-}
-
 void RootArea::SetChunkTiered(uint64_t slot_index) {
   FLATSTORE_DCHECK(slot_index < kRegistrySlots);
   ChunkRecord* rec = &registry()[slot_index];
@@ -131,12 +125,6 @@ void RootArea::SetChunkTiered(uint64_t slot_index) {
   std::atomic_ref<uint64_t>(rec->chunk_off)
       .store(cur | kChunkTiered, std::memory_order_release);
   pool_->PersistFence(&rec->chunk_off, sizeof(uint64_t));
-  {
-    LockGuard<SpinLock> g(mirror_lock_);
-    auto it = mirror_.find(cur & ~kChunkFlagsMask);
-    // fs-lint: pm-write(DRAM registry mirror, not persistent memory)
-    if (it != mirror_.end()) it->second.tiered = true;
-  }
 }
 
 void RootArea::RebuildMirror() {
@@ -147,8 +135,7 @@ void RootArea::RebuildMirror() {
     const uint64_t off = recs[s].chunk_off;
     if (off != 0 && (off & kChunkProvisional) == 0) {
       mirror_[off & ~kChunkFlagsMask] = {static_cast<int>(recs[s].core),
-                                         recs[s].seq,
-                                         (off & kChunkTiered) != 0};
+                                         recs[s].seq};
     }
   }
 }

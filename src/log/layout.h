@@ -207,9 +207,6 @@ class RootArea {
   // Returns false for unregistered chunks.
   bool ChunkInfo(uint64_t chunk_off, int* core, uint32_t* seq) const;
 
-  // True if the registered chunk carries the persistent tiered flag.
-  bool ChunkTiered(uint64_t chunk_off) const;
-
   // Rebuilds the DRAM mirror from the persistent registry (recovery).
   // Provisional records are skipped — their core/seq may be garbage.
   void RebuildMirror();
@@ -225,7 +222,6 @@ class RootArea {
   struct MirrorEntry {
     int core;
     uint32_t seq;
-    bool tiered;
   };
 
   pm::PmPool* pool_;

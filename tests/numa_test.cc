@@ -1,20 +1,20 @@
 // NUMA placement tests: the vt socket surcharges, the allocator's
 // per-socket chunk pools (and the placement-off interleave mode), the
-// engine's socket-aligned HB groups, the braided per-socket index, and —
-// the end-to-end claim — that socket-local placement beats interleaved
-// spread on a two-socket rig.
+// engine's socket-aligned HB groups, every scannable engine variant
+// against a model on two sockets, and — the end-to-end claim — that
+// socket-local placement beats interleaved spread on a two-socket rig.
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
-#include <set>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "alloc/lazy_allocator.h"
 #include "core/flatstore.h"
 #include "core/server.h"
-#include "index/masstree.h"
-#include "index/numa_sharded_index.h"
 #include "pm/pm_device.h"
 #include "pm/pm_pool.h"
 #include "vt/clock.h"
@@ -154,41 +154,101 @@ TEST(NumaEngine, PlacementOffKeepsRequestedGroupSize) {
   EXPECT_EQ(store->options().group_size, 8);
 }
 
-TEST(NumaIndex, ShardedIndexRoutesAndMergesScans) {
-  std::vector<std::unique_ptr<index::OrderedKvIndex>> shards;
-  shards.push_back(std::make_unique<index::Masstree>());
-  shards.push_back(std::make_unique<index::Masstree>());
-  index::NumaShardedIndex idx(std::move(shards), /*num_cores=*/8,
-                              /*seed=*/0xC04E);
-  constexpr uint64_t kKeys = 2000;
-  for (uint64_t k = 0; k < kKeys; k++) {
-    ASSERT_FALSE(idx.Upsert(k, k * 10, nullptr));
-  }
-  EXPECT_EQ(idx.Size(), kKeys);
-  std::set<int> used;
-  for (uint64_t k = 0; k < kKeys; k++) {
-    uint64_t v = 0;
-    ASSERT_TRUE(idx.Get(k, &v)) << k;
-    ASSERT_EQ(v, k * 10);
-    used.insert(idx.ShardForKey(k));
-  }
-  EXPECT_EQ(used.size(), 2u);  // both sockets hold keys
+// Every scannable engine variant on a two-socket pool, with placement on
+// and off, at a core count below and above the socket count: Put, Delete,
+// Get and Scan agree with a std::map model, and everything reads back
+// after a clean Shutdown and Open. One core on two sockets is the corner
+// a per-socket index layout must not trip over.
+struct NumaVariant {
+  const char* name;
+  core::IndexKind index;
+  bool tier;
+};
 
-  // Scan must interleave the per-socket shards back into key order.
-  std::vector<index::KvPair> out;
-  ASSERT_EQ(idx.Scan(100, 50, &out), 50u);
-  for (size_t i = 0; i < out.size(); i++) {
-    ASSERT_EQ(out[i].key, 100 + i);
-    ASSERT_EQ(out[i].value, (100 + i) * 10);
-  }
+class NumaEngineVariants
+    : public ::testing::TestWithParam<std::tuple<NumaVariant, bool, int>> {};
 
-  // Erase goes to the owning shard.
-  uint64_t old = 0;
-  ASSERT_TRUE(idx.Erase(123, &old));
-  EXPECT_EQ(old, 1230u);
-  EXPECT_FALSE(idx.Get(123, &old));
-  EXPECT_EQ(idx.Size(), kKeys - 1);
+TEST_P(NumaEngineVariants, OracleAgreesAcrossShutdownAndOpen) {
+  const auto& [variant, placed, cores] = GetParam();
+  pm::PmDevice dev(2);
+  auto pool = TwoSocketPool(&dev);
+  core::FlatStoreOptions fo;
+  fo.num_cores = cores;
+  fo.group_size = cores;
+  fo.hash_initial_depth = 4;
+  fo.index = variant.index;
+  fo.tier_enabled = variant.tier;
+  fo.socket_local_placement = placed;
+  auto store = core::FlatStore::Create(pool.get(), fo);
+  ASSERT_TRUE(store->CanScan());
+
+  constexpr uint64_t kKeys = 1500;
+  std::map<uint64_t, std::string> model;
+  auto value_for = [](uint64_t k, int round) {
+    return std::string(16 + k % 48, static_cast<char>('a' + (k + round) % 26));
+  };
+  for (uint64_t k = 0; k < kKeys; k++) {
+    store->Put(k, value_for(k, 0));
+    model[k] = value_for(k, 0);
+  }
+  for (uint64_t k = 0; k < kKeys; k += 5) {
+    ASSERT_TRUE(store->Delete(k)) << k;
+    model.erase(k);
+  }
+  // The tier converts sealed chunks once the puts below have moved the
+  // durable tails past them.
+  if (variant.tier) store->SealActiveLogChunks();
+  for (uint64_t k = 1; k < kKeys; k += 3) {
+    store->Put(k, value_for(k, 1));
+    model[k] = value_for(k, 1);
+  }
+  if (variant.tier) {
+    ASSERT_GT(store->RunTieringOnce(), 0u);
+  }
+  ASSERT_FALSE(store->Delete(kKeys + 7));
+
+  auto check = [&](core::FlatStore* s) {
+    EXPECT_EQ(s->Size(), model.size());
+    std::string got;
+    for (uint64_t k = 0; k < kKeys + 10; k++) {
+      auto it = model.find(k);
+      ASSERT_EQ(s->Get(k, &got), it != model.end()) << k;
+      if (it != model.end()) {
+        ASSERT_EQ(got, it->second) << k;
+      }
+    }
+    for (uint64_t start : {0ull, 1ull, 333ull, 1490ull}) {
+      std::vector<std::pair<uint64_t, std::string>> rows;
+      s->Scan(start, 64, &rows);
+      std::vector<std::pair<uint64_t, std::string>> want;
+      for (auto it = model.lower_bound(start);
+           it != model.end() && want.size() < 64; ++it) {
+        want.emplace_back(it->first, it->second);
+      }
+      ASSERT_EQ(rows, want) << "scan from " << start;
+    }
+  };
+  check(store.get());
+  store->Shutdown();
+  store.reset();
+  auto reopened = core::FlatStore::Open(pool.get(), fo);
+  check(reopened.get());
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    TwoSocket, NumaEngineVariants,
+    ::testing::Combine(
+        ::testing::Values(
+            NumaVariant{"HashTier", core::IndexKind::kHash, true},
+            NumaVariant{"Masstree", core::IndexKind::kMasstree, false},
+            NumaVariant{"FastFair", core::IndexKind::kFastFairVolatile,
+                        false}),
+        ::testing::Bool(), ::testing::Values(1, 4)),
+    [](const auto& info) {
+      return std::string(std::get<0>(info.param).name) +
+             (std::get<1>(info.param) ? "_Placed" : "_Spread") + "_" +
+             std::to_string(std::get<2>(info.param)) + "Cores";
+    });
 
 // End to end: a two-socket Put run with socket-local placement must beat
 // the interleaved-spread configuration (remote persists on ~half the
